@@ -5,11 +5,13 @@
 // degradation, not workload-shaped absolutes.
 //
 // The headline contrast is `ts-failstop`: worker 0 — the initial Token
-// Server host — dies and never returns. Fela fences the dead TS,
-// promotes a standby from the last checkpoint, and finishes the job on
-// the survivors; DP waits at the barrier forever (stalled, retention 0)
-// and PS-DP aborts by design. `ts-crash` is the recovering variant, and
-// `chaos` composes a TS crash with a partition window and a gray worker.
+// Server host — dies and never returns. Fela fences the dead TS (its
+// tokens in flight return to the server's buckets, which survive the
+// host), promotes a standby that takes over the same server, and
+// finishes the job on the survivors; DP waits at the barrier forever
+// (stalled, retention 0) and PS-DP aborts by design. `ts-crash` is the
+// recovering variant, and `chaos` composes a TS crash with a partition
+// window and a gray worker.
 //
 // Emits a machine-readable CSV (control_plane_chaos.csv) beside the
 // table and, under --json, BENCH_control_plane_chaos.json.

@@ -45,11 +45,12 @@ struct FelaConfig {
   double retry_timeout_max_sec = 60.0;
   uint64_t retry_jitter_seed = 0x5eedbacc0ffULL;
 
-  /// Control-plane survivability. The Token Server checkpoints its full
-  /// state every `ts_checkpoint_interval_sec` of simulated time; when its
-  /// hosting node crashes (or lands on a minority partition side) a
-  /// standby restores from the last checkpoint `ts_failover_timeout_sec`
-  /// later — the simulated detection + election delay.
+  /// Control-plane survivability. Each Token Server shard checkpoints its
+  /// lease table every `ts_checkpoint_interval_sec` of simulated time;
+  /// when a shard's hosting node crashes (or lands on a minority
+  /// partition side) the shard is fenced, and a standby takes it over and
+  /// re-arms the checkpointed leases `ts_failover_timeout_sec` later —
+  /// the simulated detection + election delay.
   double ts_checkpoint_interval_sec = 5.0;
   double ts_failover_timeout_sec = 10.0;
 

@@ -78,7 +78,6 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
   admitted_.assign(static_cast<size_t>(cluster_->num_workers()), true);
   recover_pending_.assign(static_cast<size_t>(cluster_->num_workers()), -1.0);
   crash_spans_.resize(static_cast<size_t>(cluster_->num_workers()));
-  sync_started_.assign(static_cast<size_t>(plan_.num_levels()), false);
 
   if (faults_active()) {
     ts_->set_leases_enabled(true);
@@ -142,25 +141,16 @@ void FelaEngine::OnWorkerCrash(int worker) {
   // Kill the worker process first (voids its in-flight work), then let
   // the TS reclaim its lease and re-route the token elsewhere.
   workers_[static_cast<size_t>(worker)].OnCrash();
+  // Only the dead host's shard fences; the rest of the server keeps
+  // granting. The fence silently reclaims the shard's leases first, so
+  // marking the worker down afterwards never fires a reclaim callback
+  // for work the successor incarnation will grant again.
   const int s = ts_->ShardOfWorker(worker);
-  if (num_ts_shards_ == 1) {
-    if (worker == shard_host_[0]) {
-      // The TS host died with it: fence the incarnation and fail over.
-      FenceShard(0);
-    } else if (shard_active_[0]) {
-      ts_->SetWorkerDown(worker, true);
-    }
-  } else {
-    // Only the dead host's shard fences; the rest of the server keeps
-    // granting. The fence silently reclaims the shard's leases first, so
-    // marking the worker down afterwards never fires a reclaim callback
-    // for work the successor incarnation will replay.
-    if (worker == shard_host_[static_cast<size_t>(s)] &&
-        shard_active_[static_cast<size_t>(s)]) {
-      FenceShard(s);
-    }
-    ts_->SetWorkerDown(worker, true);
+  if (worker == shard_host_[static_cast<size_t>(s)] &&
+      shard_active_[static_cast<size_t>(s)]) {
+    FenceShard(s);
   }
+  ts_->SetWorkerDown(worker, true);
 }
 
 void FelaEngine::OnWorkerRecover(int worker) {
@@ -204,26 +194,12 @@ void FelaEngine::OnWorkerCut(int worker) {
   // The process is alive (no OnCrash): it keeps computing and retrying;
   // the fabric drops its control messages until the partition heals.
   if (shard_active_[ws]) ts_->SetWorkerDown(worker, true);
-  if (num_ts_shards_ == 1) {
-    // Quorum: if the TS can no longer reach a majority of the up workers
-    // it must yield — the majority side fails over to a standby it can
-    // reach and keeps training while the TS's island parks.
-    int up = 0;
-    int cut_up = 0;
-    for (int i = 0; i < cluster_->num_workers(); ++i) {
-      if (monitor_->IsDown(i)) continue;
-      ++up;
-      if (monitor_->IsCut(i)) ++cut_up;
-    }
-    if (shard_active_[0] && !failing_over_ && 2 * cut_up > up) FenceShard(0);
-    return;
-  }
-  // Sharded quorum is local: a sub-distributor yields only when its own
-  // host can no longer reach a majority of its up members. A partition
-  // that isolates a whole rack (members still with their host) fences
-  // nothing — that rack simply parks until the heal — while a partition
-  // that strands a host away from its members hands the shard to a
-  // standby on the majority side.
+  // Quorum is per shard: a sub-distributor yields only when its own host
+  // can no longer reach a majority of its up members, and the majority
+  // side fails over to a standby it can reach. A partition that isolates
+  // a whole rack (members still with their host) fences nothing — that
+  // rack simply parks until the heal — while a partition that strands a
+  // host away from its members hands the shard to the majority side.
   const sim::SimTime now = cluster_->simulator().now();
   const sim::FaultSchedule& faults = cluster_->faults();
   for (int s = 0; s < num_ts_shards_; ++s) {
@@ -250,7 +226,7 @@ void FelaEngine::OnWorkerHeal(int worker) {
              FELA_TOK("it=%d anchor=%d"), current_iteration_,
              static_cast<int>(shard_host_[ws]));
   if (monitor_->IsDown(worker)) return;  // still crashed; recover re-admits
-  if (num_ts_shards_ > 1 && !shard_active_[ws] &&
+  if (!shard_active_[ws] &&
       shard_failover_timer_[ws] == sim::kInvalidEventId) {
     // The worker's fenced shard found no live standby while partitioned;
     // this heal provides one.
@@ -294,15 +270,9 @@ void FelaEngine::ReAdmit(int worker) {
 
 void FelaEngine::TakeCheckpoint() {
   if (run_complete_) return;
-  if (num_ts_shards_ == 1) {
-    if (!shard_active_[0]) return;
-    last_checkpoint_ = ts_->MakeCheckpoint();
-    ++stats_.faults.ts_checkpoints;
-    return;
-  }
-  // Sharded: each active sub-distributor snapshots its lease table (its
-  // bucket inventory is root-replicated and survives the host); fenced
-  // shards keep their last pre-fence snapshot for the promotion.
+  // Each active sub-distributor snapshots its lease table (its bucket
+  // inventory is root-replicated and survives the host); fenced shards
+  // keep their last pre-fence snapshot for the promotion.
   bool any = false;
   for (int s = 0; s < num_ts_shards_; ++s) {
     if (!shard_active_[static_cast<size_t>(s)]) continue;
@@ -361,19 +331,10 @@ void FelaEngine::FenceShard(int shard) {
   const size_t s = static_cast<size_t>(shard);
   if (!shard_active_[s] || run_complete_) return;
   shard_active_[s] = false;
-  if (num_ts_shards_ == 1) {
-    CancelCheckpointTimer();
-    // Close the incarnation's ledger: live leases die with it and count
-    // as reclaimed, so grants + restored == completions + reclaimed
-    // holds per incarnation. The standby replays the lost work from the
-    // checkpoint.
-    ts_->FinalizeForFailover();
-  } else {
-    // Sharded fence is live-handoff: the shard's leases are reclaimed
-    // into its buckets (root-held inventory) and its closed ledger is
-    // archived now; the rest of the server keeps granting.
-    ts_stats_archive_ += ts_->FenceShard(shard);
-  }
+  // Live handoff: the shard's leases are reclaimed into its buckets
+  // (root-held inventory) and its closed ledger is archived now; the
+  // rest of the server keeps granting.
+  ts_stats_archive_ += ts_->FenceShard(shard);
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), shard_host_[s],
              sim::TraceKind::kTsFailover, FELA_TOK("fence inc=%d it=%d"),
              shard_inc_[s], current_iteration_);
@@ -415,52 +376,7 @@ void FelaEngine::CompleteShardFailover(int shard) {
   }
   if (best < 0) return;  // no member up: the next recover/heal retries
 
-  if (num_ts_shards_ == 1) {
-    ts_stats_archive_ += ts_->stats();  // archive the fenced incarnation
-    shard_host_[0] = best;
-    ++shard_inc_[0];
-    ts_ = MakeTokenServer();
-    ts_->set_leases_enabled(true);
-    shard_active_[0] = true;
-    ++stats_.faults.ts_failovers;
-    FELA_TRACE(&cluster_->trace(), now, shard_host_[0],
-               sim::TraceKind::kTsFailover,
-               FELA_TOK("promote inc=%d it=%d reach=%d"), shard_inc_[0],
-               current_iteration_, best_score);
-
-    std::vector<bool> down_now(static_cast<size_t>(n), false);
-    for (int w = 0; w < n; ++w) {
-      down_now[static_cast<size_t>(w)] =
-          monitor_->IsDown(w) ||
-          (w != shard_host_[0] && faults.Partitioned(now, w, shard_host_[0]));
-    }
-    if (last_checkpoint_.valid &&
-        last_checkpoint_.iteration == current_iteration_) {
-      ts_->Restore(last_checkpoint_, down_now);
-    } else {
-      // No usable snapshot (the crash raced the very first checkpoint,
-      // or the iteration turned over while fenced): restart the
-      // iteration's token schedule from scratch. Workers re-train it;
-      // reports for old-incarnation tokens are absorbed as duplicates.
-      ts_->BeginIteration(current_iteration_);
-      for (int w = 0; w < n; ++w) {
-        if (down_now[static_cast<size_t>(w)]) ts_->SetWorkerDown(w, true);
-      }
-    }
-    // Re-anchor the partition monitor on the new host: parked workers
-    // the new host can reach heal (and re-admit at the next boundary);
-    // the old host's island parks. The quorum re-check is suppressed — a
-    // *new* schedule transition, not the re-anchoring itself, must
-    // trigger the next fence.
-    failing_over_ = true;
-    monitor_->RefreshCuts();
-    failing_over_ = false;
-    TakeCheckpoint();
-    ArmCheckpointTimer();
-    return;
-  }
-
-  // Sharded promote: the retained root un-fences the shard under a new
+  // Promote: the retained root un-fences the shard under a new
   // incarnation, re-arming the checkpointed leases whose tokens are
   // still parked in its buckets.
   shard_host_[sidx] = best;
@@ -518,7 +434,6 @@ void FelaEngine::StartIteration(int iteration) {
   iteration_start_ = cluster_->simulator().now();
   syncs_done_ = 0;
   tokens_done_ = false;
-  std::fill(sync_started_.begin(), sync_started_.end(), false);
   FELA_TRACE(&cluster_->trace(), iteration_start_, shard_host_[0],
              sim::TraceKind::kIterationStart, FELA_TOK("it=%d"), iteration);
   if (cluster_->spans().enabled()) {
@@ -534,18 +449,14 @@ void FelaEngine::StartIteration(int iteration) {
       ReAdmit(w);
     }
   }
-  // With one shard, a fenced server cannot turn the iteration over (the
-  // promoted incarnation calls BeginIteration itself); a sharded root is
-  // never destroyed, so the iteration always starts — fenced shards just
-  // hold their freshly minted tokens until their promotion.
-  if (num_ts_shards_ > 1 || shard_active_[0]) {
-    ts_->BeginIteration(iteration);
-    // Boundary checkpoint: a failover early in the iteration restores to
-    // its start instead of replaying the previous one.
-    if (faults_active()) TakeCheckpoint();
-  }
-  // If the TS is fenced, requests sent now are voided; the workers'
-  // retry backoff re-delivers them to the promoted incarnation.
+  // The root is never destroyed, so the iteration always starts — fenced
+  // shards just hold their freshly minted tokens until their promotion.
+  ts_->BeginIteration(iteration);
+  // Boundary checkpoint: the iteration's first lease snapshot (RestoreShard
+  // ignores snapshots of an earlier iteration).
+  if (faults_active()) TakeCheckpoint();
+  // Requests sent now to a fenced shard are voided; the workers' retry
+  // backoff re-delivers them to the promoted incarnation.
   for (int w = 0; w < cluster_->num_workers(); ++w) {
     if (!admitted_[static_cast<size_t>(w)]) continue;  // still excluded
     const double delay = cluster_->stragglers().DelayFor(iteration, w);
@@ -556,10 +467,6 @@ void FelaEngine::StartIteration(int iteration) {
 }
 
 void FelaEngine::OnLevelComplete(int level) {
-  // A failed-over TS replays post-checkpoint completions, so a level can
-  // announce twice in one iteration; its ring must still run once.
-  if (sync_started_[static_cast<size_t>(level)]) return;
-  sync_started_[static_cast<size_t>(level)] = true;
   const LevelPlan& lp = plan_.level(level);
   std::vector<sim::NodeId> participants;
   const bool ctd_scoped = lp.communication_intensive &&
@@ -632,8 +539,8 @@ TokenServer::Stats FelaEngine::CumulativeTsStats() const {
 std::vector<std::string> FelaEngine::CheckFailoverInvariants() const {
   std::vector<std::string> out;
   const TokenServer::Stats cum = CumulativeTsStats();
-  // Fenced incarnations finalize with zero live leases, so the live
-  // count always belongs to the current server.
+  // Fenced incarnations close with zero live leases (FenceShard), so the
+  // live count always belongs to the current incarnations.
   const uint64_t live = ts_->outstanding_lease_count();
   if (cum.grants + cum.leases_restored !=
       cum.completions + cum.tokens_reclaimed + live) {
@@ -683,8 +590,8 @@ runtime::RunStats FelaEngine::Run(int iterations) {
 
   // Cross-check token conservation: every worker-trained sample count
   // sums to total_batch per level per iteration. Under faults, reports
-  // lost in flight (or replayed after a failover) cause retraining, so
-  // workers may train *more* than the plan — never less.
+  // lost in flight (or voided by a fence) cause retraining, so workers
+  // may train *more* than the plan — never less.
   if (!stats_.stalled) {
     double samples = 0.0;
     for (const auto& w : workers_) samples += w.samples_trained();

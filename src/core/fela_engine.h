@@ -32,18 +32,20 @@ namespace fela::core {
 /// recovered worker is re-admitted at the next iteration boundary — or
 /// immediately if it is the only survivor.
 ///
-/// The control plane itself is survivable: the TS host is dynamic (it
-/// starts at node 0 but is not pinned there). The active incarnation
-/// checkpoints its distributor state at iteration boundaries and on a
-/// periodic timer; when the TS host crashes — or a partition cuts it off
-/// from the majority of the up workers — the incarnation is fenced
-/// (in-flight messages to it are voided) and, after
-/// ts_failover_timeout_sec, a standby on the best-connected up node
-/// restores from the last checkpoint and re-arms the leases. Workers keep
-/// retrying on their backoff schedule and converge on the new incarnation
-/// without restarting the run. Partition-cut workers park (excluded like
-/// crashed ones, but their processes stay alive) and re-admit when the
-/// partition heals.
+/// The control plane itself is survivable, one shard at a time (a
+/// one-shard server is the S=1 case): each shard's host is dynamic (the
+/// root starts at node 0 but is not pinned there). Every active shard
+/// checkpoints its lease table at iteration boundaries and on a periodic
+/// timer; when a shard's host crashes — or a partition cuts it off from
+/// the majority of the shard's up members — that shard is fenced
+/// (in-flight messages to it are voided, its leases are reclaimed into
+/// its root-held buckets) and, after ts_failover_timeout_sec, a standby
+/// on the best-connected up member un-fences it under a new incarnation
+/// and re-arms the checkpointed leases. The TokenServer object lives for
+/// the whole run. Workers keep retrying on their backoff schedule and
+/// converge on the new incarnation without restarting the run.
+/// Partition-cut workers park (excluded like crashed ones, but their
+/// processes stay alive) and re-admit when the partition heals.
 class FelaEngine : public runtime::Engine {
  public:
   /// Partitions the model with the paper's bin partitioner (§IV-A).
@@ -68,8 +70,8 @@ class FelaEngine : public runtime::Engine {
   TokenServer::Stats ts_stats() const { return ts_->stats(); }
   /// Live token server, for post-run invariant probes (the oracles audit
   /// its ledger through ExperimentSpec::post_run_probe). After a failover
-  /// this is the current incarnation; archived incarnations are folded
-  /// into CumulativeTsStats().
+  /// each shard's ledger belongs to its current incarnation; fenced
+  /// incarnations are folded into CumulativeTsStats().
   const TokenServer& token_server() const { return *ts_; }
   const FelaWorker& worker(int i) const {
     return workers_[static_cast<size_t>(i)];
@@ -119,12 +121,9 @@ class FelaEngine : public runtime::Engine {
   /// communication-intensive tokens — and deferring it could wedge the
   /// iteration once only those tokens remain.
   bool NeedsImmediateReadmit(int worker) const;
-  /// Makes a fresh TokenServer for the current host/incarnation and
-  /// wires the callbacks (construction and failover share this).
+  /// Makes the run's TokenServer and wires its callbacks to this engine.
   std::unique_ptr<TokenServer> MakeTokenServer();
-  /// Snapshots the live TS: the whole server into last_checkpoint_ when
-  /// unsharded, else each active shard's lease table into
-  /// shard_lease_cps_.
+  /// Snapshots each active shard's lease table into shard_lease_cps_.
   void TakeCheckpoint();
   /// (Re-)arms the periodic checkpoint timer. Only armed while the fault
   /// schedule still has transitions ahead — once no crash/cut can ever
@@ -138,15 +137,13 @@ class FelaEngine : public runtime::Engine {
   /// quorum among the shard's members): closes that shard's ledger,
   /// voids in-flight messages addressed to it, and schedules its
   /// failover after config.ts_failover_timeout_sec. The other shards
-  /// keep granting. With one shard this is exactly the whole-server
-  /// fence.
+  /// keep granting. With one shard this fences the whole server.
   void FenceShard(int shard);
   /// Promotes a standby for one shard: picks the shard member (any up
   /// worker when unsharded) that can reach the most other members right
-  /// now (ties -> lowest id), restores the shard's checkpoint (or the
-  /// whole-server checkpoint / a fresh iteration when unsharded), and —
-  /// for the root shard — re-anchors the partition monitor. No-op if no
-  /// member is up — retried on the next member recover event.
+  /// now (ties -> lowest id), restores the shard's lease checkpoint, and
+  /// — for the root shard — re-anchors the partition monitor. No-op if
+  /// no member is up — retried on the next member recover or heal event.
   void CompleteShardFailover(int shard);
   bool AnyShardActive() const;
   bool faults_active() const { return cluster_->faults().Active(); }
@@ -193,9 +190,7 @@ class FelaEngine : public runtime::Engine {
   /// trigger (a standby on a minority island must not instantly re-fence
   /// itself — only a *new* schedule transition may).
   bool failing_over_ = false;
-  /// Whole-server checkpoint (unsharded survivability path only).
-  TokenServer::Checkpoint last_checkpoint_;
-  /// Per-shard lease checkpoints (sharded survivability path only).
+  /// Per-shard lease checkpoints.
   std::vector<TokenServer::ShardLeaseCheckpoint> shard_lease_cps_;
   /// Ledgers of finalized (failed-over) incarnations, element-wise summed.
   TokenServer::Stats ts_stats_archive_;
@@ -206,11 +201,6 @@ class FelaEngine : public runtime::Engine {
   sim::SimTime iteration_start_ = 0.0;
   int syncs_done_ = 0;
   bool tokens_done_ = false;
-  /// sync_started_[level]: this iteration's ring for the level already
-  /// launched. A failed-over TS replays completions from the checkpoint,
-  /// so a level can announce completion twice in one iteration; the sync
-  /// (and syncs_done_) must still run once.
-  std::vector<bool> sync_started_;
   bool run_complete_ = false;
   runtime::RunStats stats_;
 

@@ -213,12 +213,12 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
           static_cast<unsigned long long>(live)));
     }
     // A restored incarnation may re-grant bucket tokens whose reclaim was
-    // counted by a previous incarnation (attempt > 0 survives the
-    // checkpoint — even when the checkpoint held no live leases), so
-    // regrants <= reclaimed only binds for never-restored incarnations.
-    // Cross-shard donations migrate reclaimed tokens the same way — the
-    // donor booked the reclaim, the thief books the regrant — so the
-    // bound credits the shard's migrated-in count.
+    // counted by a previous incarnation (attempt > 0 survives the fence),
+    // so regrants <= reclaimed only binds for never-restored
+    // incarnations. Reclaimed tokens also migrate between shards — by
+    // donation (the donor booked the reclaim, the thief books the
+    // regrant) or by ReclaimLease re-bucketing them on an up worker of
+    // another shard — so the bound credits the shard's migrated-in count.
     if (!shard_restored_[static_cast<size_t>(s)] &&
         st.regrants >
             st.tokens_reclaimed + migrated_reclaims_in_[static_cast<size_t>(s)]) {
@@ -345,108 +345,6 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
   return out;
 }
 
-TokenServer::Checkpoint TokenServer::MakeCheckpoint() const {
-  // Whole-server checkpoints are the one-shard survivability path; a
-  // sharded server snapshots per shard (MakeShardLeaseCheckpoint).
-  FELA_CHECK_EQ(num_shards_, 1);
-  Checkpoint cp;
-  cp.valid = true;
-  cp.taken_at = sim_->now();
-  cp.iteration = iteration_;
-  cp.next_token_id = shard_next_seq_[0];
-  cp.all_done_announced = all_done_announced_;
-  cp.info = info_;
-  cp.buckets.reserve(stbs_.size());
-  for (const TokenBucket& b : stbs_) cp.buckets.push_back(b.Snapshot());
-  cp.pending = pending_;
-  cp.completed_count = completed_count_;
-  cp.generated_count = generated_count_;
-  cp.waiters = shard_waiters_[0];
-  cp.waiting = waiting_;
-  cp.helping = helping_;
-  cp.helper_count = helper_count_;
-  // The lease map iterates in sorted key order (a flat sorted vector), so
-  // the lease list is deterministic.
-  cp.leases.reserve(shard_leases_[0].size());
-  for (const auto& [id, lease] : shard_leases_[0]) {
-    cp.leases.emplace_back(lease.token, lease.worker);
-  }
-  return cp;
-}
-
-void TokenServer::Restore(const Checkpoint& cp,
-                          const std::vector<bool>& down_now) {
-  FELA_CHECK_EQ(num_shards_, 1);
-  FELA_CHECK(cp.valid);
-  FELA_CHECK(shard_leases_[0].empty()) << "Restore requires a fresh server";
-  shard_restored_[0] = true;
-  iteration_ = cp.iteration;
-  shard_next_seq_[0] = cp.next_token_id;
-  all_done_announced_ = cp.all_done_announced;
-  info_ = cp.info;
-  FELA_CHECK_EQ(cp.buckets.size(), stbs_.size());
-  std::fill(shard_level_avail_[0].begin(), shard_level_avail_[0].end(), 0);
-  std::fill(level_avail_.begin(), level_avail_.end(), 0);
-  for (size_t i = 0; i < stbs_.size(); ++i) {
-    stbs_[i].Clear();
-    for (const Token& t : cp.buckets[i]) {
-      NoteBucketAdd(0, t.level);
-      stbs_[i].Add(t);
-    }
-  }
-  pending_ = cp.pending;
-  completed_count_ = cp.completed_count;
-  generated_count_ = cp.generated_count;
-  shard_waiters_[0] = cp.waiters;
-  waiting_ = cp.waiting;
-  helping_ = cp.helping;
-  helper_count_ = cp.helper_count;
-  shard_lock_free_[0] = 0.0;
-  std::fill(down_.begin(), down_.end(), false);
-  // Replay what the leases imply: the checkpointed holders are presumed
-  // still computing, so their grants stay live with fresh deadlines. A
-  // holder that finished meanwhile reports and completes normally; one
-  // that lost its grant in the failover window goes silent and the
-  // re-armed expiry reclaims the token.
-  const sim::SimTime now = sim_->now();
-  for (const auto& [token, worker] : cp.leases) {
-    const TokenId id = token.id;
-    Lease lease;
-    lease.token = token;
-    lease.worker = worker;
-    if (leases_enabled_) {
-      // fela-lint: allow(untraced-event): expiry traces as kTokenReclaim
-      // when the lease actually fires; re-arming it is silent by design.
-      lease.timer = sim_->ScheduleAt(now + config_->lease_timeout_sec,
-                                     [this, id] { OnLeaseExpired(0, id); });
-    }
-    outstanding_[static_cast<size_t>(worker)] = id;
-    shard_leases_[0][id] = std::move(lease);
-    ++shard_stats_[0].leases_restored;
-  }
-  // Apply the present down/cut picture (reclaims leases of dead holders),
-  // then serve whoever was waiting.
-  for (sim::NodeId w = 0; w < num_workers(); ++w) {
-    if (down_now[static_cast<size_t>(w)]) SetWorkerDown(w, true);
-  }
-  ServeWaiters();
-}
-
-void TokenServer::FinalizeForFailover() {
-  for (int s = 0; s < num_shards_; ++s) {
-    auto& leases = shard_leases_[static_cast<size_t>(s)];
-    for (auto& [id, lease] : leases) {
-      if (lease.timer != sim::kInvalidEventId) sim_->Cancel(lease.timer);
-      outstanding_[static_cast<size_t>(lease.worker)] = kInvalidTokenId;
-      // The work in flight dies with this incarnation; counting it as
-      // reclaimed closes the ledger exactly (no callbacks — the standby
-      // replays from the checkpoint, not from this state).
-      ++shard_stats_[static_cast<size_t>(s)].tokens_reclaimed;
-    }
-    leases.clear();
-  }
-}
-
 TokenServer::ShardLeaseCheckpoint TokenServer::MakeShardLeaseCheckpoint(
     int shard) const {
   ShardLeaseCheckpoint cp;
@@ -499,10 +397,10 @@ void TokenServer::RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
   if (cp.valid && cp.iteration == iteration_) {
     // Re-arm checkpointed leases whose tokens are still parked in the
     // shard (they were live at the fence and the iteration has not
-    // turned over): the holders are presumed still computing, exactly
-    // like the one-shard Restore. The parked copy (attempt bumped by the
-    // fence) is discarded in favor of the checkpointed token, which
-    // matches the grant the worker actually holds.
+    // turned over): the holders are presumed still computing. The parked
+    // copy (attempt bumped by the fence) is discarded in favor of the
+    // checkpointed token, which matches the grant the worker actually
+    // holds.
     for (const auto& [token, worker] : cp.leases) {
       if (down_now[static_cast<size_t>(worker)]) continue;
       if (outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
@@ -1065,8 +963,11 @@ void TokenServer::ReclaimLease(int shard, TokenId id, bool expired) {
   ++token.attempt;
   if (cbs_.on_reclaim) cbs_.on_reclaim(token, lease.worker);
   // The reclaimed token migrates to the most local up worker's bucket —
-  // possibly in another shard, which then owns it outright.
+  // possibly in another shard, which then owns it outright and is
+  // credited with the reclaim this shard booked.
   const sim::NodeId home = ReclaimDestination(token);
+  const int dest = ShardOfWorker(home);
+  if (dest != shard) ++migrated_reclaims_in_[static_cast<size_t>(dest)];
   AddFreshToken(std::move(token), home);
   ServeWaiters();
 }

@@ -72,8 +72,9 @@ struct Grant {
 /// the requested levels (O(shards), via incrementally maintained
 /// per-shard level counts) and the donor runs its local victim search —
 /// no code path scans all P workers. With one shard (any flat topology)
-/// every path degenerates to the original single server and transcripts
-/// are byte-identical to it.
+/// every grant path degenerates to the original single server and
+/// fault-free transcripts are byte-identical to it; its failover is the
+/// S=1 case of the per-shard FenceShard/RestoreShard handoff.
 class FELA_THREAD_HOSTILE TokenServer {
  public:
   struct Callbacks {
@@ -128,39 +129,14 @@ class FELA_THREAD_HOSTILE TokenServer {
     Stats& operator+=(const Stats& other);
   };
 
-  /// A deterministic snapshot of everything a standby needs to resume
-  /// this incarnation's work mid-iteration: the per-level plan progress,
-  /// the bucket / pending-pool repository, the wait queue, and the live
-  /// leases (re-armed with fresh deadlines on restore). Statistics are
-  /// deliberately NOT captured: each incarnation keeps its own ledger
-  /// and the engine archives them across failovers. Whole-server
-  /// checkpoints only exist on a one-shard server; a sharded server
-  /// checkpoints per shard (see ShardLeaseCheckpoint).
-  struct Checkpoint {
-    bool valid = false;
-    sim::SimTime taken_at = 0.0;
-    int iteration = -1;
-    TokenId next_token_id = 0;
-    bool all_done_announced = false;
-    InfoMapping info;
-    std::vector<std::vector<Token>> buckets;  // one per STB, ordered
-    std::vector<std::vector<std::deque<TokenDep>>> pending;
-    std::vector<int> completed_count;
-    std::vector<int> generated_count;
-    std::deque<sim::NodeId> waiters;
-    std::vector<bool> waiting;
-    std::vector<sim::NodeId> helping;
-    std::vector<int> helper_count;
-    /// Live leases as (token, holder); timers are re-armed on restore.
-    std::vector<std::pair<Token, sim::NodeId>> leases;
-  };
-
-  /// The per-shard checkpoint of a sharded server. The shard's bucket
-  /// inventory is root-replicated metadata that survives a shard-host
-  /// crash, so only the lease table is checkpoint-bound: leases present
-  /// here when the shard is fenced are re-armed on restore
-  /// (leases_restored); leases granted after the snapshot die with the
-  /// incarnation and are reclaimed into the shard's buckets.
+  /// The per-shard checkpoint (a one-shard server is the S=1 case). The
+  /// shard's bucket inventory is root-replicated metadata that survives
+  /// a shard-host crash, so only the lease table is checkpoint-bound:
+  /// leases present here when the shard is fenced are re-armed on
+  /// restore (leases_restored); leases granted after the snapshot die
+  /// with the incarnation and are reclaimed into the shard's buckets.
+  /// Statistics are deliberately NOT captured: each incarnation keeps its
+  /// own ledger and the engine archives them across failovers.
   struct ShardLeaseCheckpoint {
     bool valid = false;
     sim::SimTime taken_at = 0.0;
@@ -201,26 +177,6 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// leaves no dangling events in the simulator queue).
   void CancelAllLeases();
 
-  /// Captures the full distributor state for failover (see Checkpoint).
-  /// Only meaningful on a one-shard server; sharded servers checkpoint
-  /// per shard via MakeShardLeaseCheckpoint.
-  Checkpoint MakeCheckpoint() const;
-
-  /// Rebuilds this (freshly constructed) server from a checkpoint: state
-  /// is restored verbatim, restored leases get fresh deadlines
-  /// (now + lease_timeout_sec) and re-armed expiry timers, workers in
-  /// `down_now` are marked down (reclaiming their restored leases), and
-  /// waiters are re-served. Counted in stats as leases_restored so the
-  /// per-incarnation conservation identity stays exact.
-  void Restore(const Checkpoint& cp, const std::vector<bool>& down_now);
-
-  /// Fences a failed incarnation: cancels every lease timer and counts
-  /// the live leases as reclaimed — the work dies with the incarnation
-  /// and will be replayed by the standby — so this incarnation's ledger
-  /// closes balanced (grants + restored == completions + reclaimed).
-  /// No callbacks fire; the object must receive no messages afterwards.
-  void FinalizeForFailover();
-
   // -- Per-shard topology and survivability -------------------------------
 
   int num_shards() const { return num_shards_; }
@@ -242,12 +198,12 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// Snapshots one shard's live lease table (see ShardLeaseCheckpoint).
   ShardLeaseCheckpoint MakeShardLeaseCheckpoint(int shard) const;
 
-  /// Fences one shard of a sharded server: every live lease is reclaimed
-  /// into the shard's own buckets (attempt bumped — the work in flight
-  /// dies with the shard host), the shard stops granting and donating,
-  /// and its closed ledger is returned (and reset for the successor
-  /// incarnation). The closed ledger balances: grants + restored ==
-  /// completions + reclaimed, live == 0.
+  /// Fences one shard (the whole server when it has one shard): every
+  /// live lease is reclaimed into the shard's own buckets (attempt
+  /// bumped — the work in flight dies with the shard host), the shard
+  /// stops granting and donating, and its closed ledger is returned (and
+  /// reset for the successor incarnation). The closed ledger balances:
+  /// grants + restored == completions + reclaimed, live == 0.
   Stats FenceShard(int shard);
 
   /// Un-fences a shard under a new incarnation: checkpointed leases whose
@@ -405,16 +361,15 @@ class FELA_THREAD_HOSTILE TokenServer {
   std::vector<TokenId> outstanding_;  // live grant per worker, or invalid
   std::vector<bool> down_;
   bool leases_enabled_ = false;
-  /// Shard incarnation was rebuilt from a checkpoint. Checkpointed
-  /// bucket tokens keep their attempt counters, so a restored
-  /// incarnation may regrant tokens whose reclaim a *previous*
-  /// incarnation counted — CheckInvariants relaxes regrants <= reclaimed
-  /// for it.
+  /// Shard was restored under a successor incarnation. Its buckets keep
+  /// tokens whose reclaim a *previous* incarnation counted (attempt > 0
+  /// survives the fence), so CheckInvariants relaxes regrants <=
+  /// reclaimed for it.
   std::vector<bool> shard_restored_;
-  /// Reclaimed tokens (attempt > 0) this shard re-granted after winning
-  /// them in a cross-shard steal. The reclaim that armed them was booked
-  /// by the *donor* shard, so the per-shard regrants <= reclaimed bound
-  /// must credit these migrated-in tokens to stay sound.
+  /// Reclaimed tokens (attempt > 0) that migrated into this shard after
+  /// another shard booked their reclaim: won in a cross-shard steal and
+  /// re-granted here, or re-bucketed here by ReclaimLease. The per-shard
+  /// regrants <= reclaimed bound must credit these to stay sound.
   std::vector<uint64_t> migrated_reclaims_in_;
   /// Fenced shards neither grant nor donate; their buckets keep
   /// accumulating (root-held inventory) until RestoreShard.

@@ -83,28 +83,6 @@ FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
     }
   }
 
-  // Metamorphic twin 1b: on an inert-shard spec — Fela on a flat fabric
-  // where sharding is auto (one shard) — forcing an explicit single
-  // sub-distributor must replay byte-for-byte: ts_shards=1 is the same
-  // server, and any divergence means shard bookkeeping leaked into the
-  // unsharded hot path.
-  if (spec.engine == EngineKind::kFela && spec.rack_size == 0 &&
-      spec.fela_ts_shards == 0) {
-    FuzzSpec sharded = spec;
-    sharded.fela_ts_shards = 1;
-    const runtime::ExperimentResult twin =
-        RunProbed(sharded, MakeFaultFactory(sharded), nullptr);
-    const runtime::DeterminismReport diff = runtime::DiffTranscripts(
-        runtime::DeterminismTranscript(out.result),
-        runtime::DeterminismTranscript(twin));
-    if (!diff.deterministic) {
-      out.violations.push_back(Violation{
-          kShardEquivalenceOracle,
-          "ts_shards=1 diverged from the unsharded server: " +
-              diff.ToString()});
-    }
-  }
-
   // Metamorphic twin 2: adding a persistent straggler to a clean spec
   // never reduces makespan. Only claimed for static-schedule engines —
   // adaptive ones (ElasticMP re-partitions, Fela re-plans grants) may
@@ -286,8 +264,7 @@ ShrinkResult Shrink(const FuzzSpec& failing, int max_attempts) {
   FuzzOptions opts;
   opts.metamorphic = targets.count(kInertFaultOracle) > 0 ||
                      targets.count(kStragglerMonotoneOracle) > 0 ||
-                     targets.count(kFelaDominanceOracle) > 0 ||
-                     targets.count(kShardEquivalenceOracle) > 0;
+                     targets.count(kFelaDominanceOracle) > 0;
 
   bool progress = true;
   while (progress && out.attempts < max_attempts) {

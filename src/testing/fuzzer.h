@@ -16,7 +16,6 @@ namespace fela::testing {
 inline constexpr char kInertFaultOracle[] = "inert-fault-equivalence";
 inline constexpr char kStragglerMonotoneOracle[] = "straggler-monotonicity";
 inline constexpr char kFelaDominanceOracle[] = "fela-retention-dominates-dp";
-inline constexpr char kShardEquivalenceOracle[] = "shard-equivalence";
 
 struct FuzzOptions {
   /// Run metamorphic twin experiments (an extra 1–2 runs per eligible

@@ -139,11 +139,10 @@ void StatsSanityOracle::Check(const FuzzSpec& spec,
     Report(common::StrFormat("gpu utilization %.9f outside [0, 1]",
                              result.gpu_utilization));
   }
-  // Regrants can only re-issue reclaimed tokens — except across a TS
-  // failover, where rollback replay legitimately re-grants tokens whose
-  // reclaim predates the restored checkpoint.
-  if (stats.faults.ts_failovers == 0 &&
-      stats.faults.regrants > stats.faults.tokens_reclaimed) {
+  // Regrants can only re-issue reclaimed tokens, across TS failovers
+  // too: a fence books a reclaim for every lease it takes back, and a
+  // restored lease is re-armed, not regranted.
+  if (stats.faults.regrants > stats.faults.tokens_reclaimed) {
     Report(common::StrFormat(
         "regrants (%llu) exceed tokens reclaimed (%llu)",
         static_cast<unsigned long long>(stats.faults.regrants),

@@ -12,9 +12,12 @@
 
 #include "baselines/dp_engine.h"
 #include "common/rng.h"
+#include "common/units.h"
 #include "core/fela_config.h"
 #include "core/fela_engine.h"
 #include "core/worker.h"
+#include "model/partition.h"
+#include "model/profile.h"
 #include "model/zoo.h"
 #include "runtime/cluster.h"
 #include "sim/faults.h"
@@ -380,6 +383,48 @@ TEST(ControlPlaneTest, CheckpointRestoreRoundTripMidIteration) {
   EXPECT_GE(stats.faults.ts_checkpoints, 2u);
   EXPECT_GE(stats.faults.leases_restored, 1u);
   ExpectFailoverInvariantsHold(engine);
+}
+
+// Regression: a one-shard server on a racked 32-worker cluster loses its
+// host (worker 0) mid-run and gets it back later. The failover must keep
+// the retained server's dependency map consistent under a lossy control
+// plane (a rebuilt-from-snapshot server granted a token whose dependency
+// it had no record of) and must not wedge when the crash is the only
+// fault (a rebuilt server's replay never finished the run).
+TEST(ControlPlaneTest, OneShardTsCrashOnRackedClusterFailsOverOnce) {
+  const int kWorkers = 32;
+  const int kIters = 4;
+  const model::Model vgg = model::zoo::Vgg19();
+  const int levels = static_cast<int>(
+      model::BinPartitioner()
+          .Partition(vgg, model::ProfileRepository::Default())
+          .size());
+  for (const bool lossy : {true, false}) {
+    SCOPED_TRACE(lossy ? "crash + lossy control plane" : "crash alone");
+    std::vector<std::unique_ptr<sim::FaultSchedule>> parts;
+    parts.push_back(std::make_unique<sim::ScriptedCrashes>(
+        std::vector<sim::CrashEvent>{{0, 32.0, 50.0}}));
+    if (lossy) {
+      parts.push_back(std::make_unique<sim::LossyControlPlane>(
+          0.01, 0.01, 8259124590384263074ULL));
+    }
+    sim::Calibration cal = sim::Calibration::Default();
+    cal.topology =
+        sim::Topology::Racked(16, common::GbpsToBytesPerSec(40.0), 5e-6);
+    runtime::Cluster cluster(
+        kWorkers, cal, std::make_unique<sim::NoStragglers>(),
+        std::make_unique<sim::CompositeFaults>(std::move(parts)));
+    FelaConfig cfg = FelaConfig::Defaults(levels, kWorkers);
+    cfg.ts_shards = 1;
+    FelaEngine engine(&cluster, vgg, cfg, 16.0 * kWorkers);
+    const auto stats = engine.Run(kIters);
+
+    ASSERT_EQ(engine.ts_shard_count(), 1);
+    EXPECT_EQ(stats.iteration_count(), kIters);
+    EXPECT_FALSE(stats.stalled);
+    EXPECT_EQ(stats.faults.ts_failovers, 1u);
+    ExpectFailoverInvariantsHold(engine);
+  }
 }
 
 TEST(ControlPlaneTest, ValidateConfigRejectsBadSurvivabilityKnobs) {
