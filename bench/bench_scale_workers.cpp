@@ -1,22 +1,23 @@
-// Scale-out sweep: one Fela job at 8 -> 1024 workers on a racked
+// Scale-out sweep: one Fela job at 8 -> 4096 workers on a racked
 // two-tier fabric (32-node racks, 40 Gbps uplinks), weak-scaled so every
 // worker trains a constant share of the batch. The point of the bench is
-// the simulator itself: with the topology-dispatched hierarchical
-// collective a sync schedules O(P) transfers where the flat ring
-// schedules 2P(P-1), and with the per-rack Token Server sub-distributors
-// a grant costs O(rack_size) where the monolithic server scanned all P
-// workers. The bench fails (non-zero exit) if transfers per iteration
-// ever grow super-linearly, or if the sharded per-event TS cost at 1024
-// workers exceeds 4x the 256-worker cost — the regression gates for the
-// two O(P^2)-ish paths PR 9 and PR 10 flattened. ts_shards=1 comparison
-// points at 256 and 1024 keep the monolithic trajectory visible.
+// the simulator itself: the topology-dispatched hierarchical collective
+// schedules O(P) transfers per sync where the flat ring schedules
+// 2P(P-1), and the per-rack Token Server sub-distributors serve a grant
+// in O(rack_size), serving parked waiters in one pass that stops when
+// the buckets run dry. The bench fails (non-zero exit) if transfers per
+// iteration ever grow super-linearly, or if any point makes more than
+// two grant attempts (TryGrant calls) per grant — the signature of a
+// waiter re-scan. Both gates read deterministic counters, so they arm
+// under --smoke and any --jobs. ts_shards=1 comparison points at 256
+// and 1024 keep the monolithic trajectory visible.
 //
 // Deterministic outputs (stdout table, scale_workers.csv, and
 // BENCH_scale_workers.json under --json) carry only simulated
 // quantities, so they byte-match across --jobs values for the nightly
-// serial-vs-parallel diff. Wall-clock simulation rates and the µs/grant
-// TS-cost column (the bench/baselines/ trajectory numbers) go to
-// stderr, and to the machine-specific baseline artifact under
+// serial-vs-parallel diff. Wall-clock rates (iterations/sec, whole-run
+// wall µs per event and per grant) and attempts per grant go to stderr,
+// and to the machine-specific baseline artifact under
 // --baseline-out=PATH — regenerate it like BENCH_micro_core.json, on
 // the reference machine.
 
@@ -49,6 +50,7 @@ struct PointStats {
   uint64_t transfers = 0;
   uint64_t cross_rack = 0;
   uint64_t grants = 0;
+  uint64_t grant_attempts = 0;
   int ts_shards = 0;  // resolved shard count (auto -> rack count)
   WallClock::time_point start;
   double wall_seconds = 0.0;
@@ -93,7 +95,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < argc; ++i) argv[i] = rest[static_cast<size_t>(i)];
   }
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
-  bench::PrintHeader("Worker Scale-Out: Hierarchical Sync at 8 -> 1024");
+  bench::PrintHeader("Worker Scale-Out: Hierarchical Sync at 8 -> 4096");
 
   const model::Model model = model::zoo::Vgg19();
   // The engine partitions with the bin partitioner; the untuned uniform
@@ -102,12 +104,14 @@ int main(int argc, char** argv) {
       model::BinPartitioner()
           .Partition(model, model::ProfileRepository::Default())
           .size());
-  const std::vector<int> worker_counts = opts.Sweep<int>({8, 64, 256, 1024});
+  const std::vector<int> worker_counts =
+      opts.Sweep<int>({8, 64, 256, 1024, 4096});
   const int iterations = opts.smoke ? 2 : 20;
 
-  // The auto-sharded trajectory, then ts_shards=1 twins of the two
-  // largest points so the nightly numbers keep the monolithic server's
-  // cost curve next to the sharded one.
+  // The auto-sharded trajectory, then ts_shards=1 twins at 256 and 1024
+  // workers so the nightly numbers keep the monolithic server's cost
+  // curve next to the sharded one (at 4096 the monolith alone would
+  // take seconds).
   std::vector<PointSpec> point_specs;
   for (int workers : worker_counts) point_specs.push_back({workers, 0});
   for (int workers : worker_counts) {
@@ -133,7 +137,9 @@ int main(int argc, char** argv) {
       slot->transfers = cluster.fabric().data_transfer_count();
       slot->cross_rack = cluster.fabric().cross_rack_transfer_count();
       if (const auto* fela = dynamic_cast<const core::FelaEngine*>(&engine)) {
-        slot->grants = fela->ts_stats().grants;
+        const core::TokenServer::Stats ts = fela->ts_stats();
+        slot->grants = ts.grants;
+        slot->grant_attempts = ts.grant_attempts;
         slot->ts_shards = fela->ts_shard_count();
       }
       slot->wall_seconds =
@@ -172,10 +178,6 @@ int main(int argc, char** argv) {
   std::printf("  %8s %7s %12s %14s %12s %12s %12s\n", "workers", "shards",
               "sim_s", "samples/s", "events/iter", "xfers/iter", "xrack/iter");
   int rc = 0;
-  // Per-event wall cost of the auto-sharded 256/1024 points, for the
-  // blast-radius gate below.
-  double sharded_cost_256 = 0.0;
-  double sharded_cost_1024 = 0.0;
   for (size_t i = 0; i < point_specs.size(); ++i) {
     const int workers = point_specs[i].workers;
     const runtime::ExperimentResult& r = results[i];
@@ -199,9 +201,9 @@ int main(int argc, char** argv) {
                   common::StrFormat("%.1f", xfers_per_iter),
                   common::StrFormat("%.1f", xrack_per_iter)});
     // Wall-clock rates are machine-specific: stderr only, so stdout
-    // stays byte-identical across machines and --jobs values. The TS
-    // cost column: wall microseconds per simulated event and per grant —
-    // the number the sub-distributor split is meant to flatten.
+    // stays byte-identical across machines and --jobs values. The
+    // per-event and per-grant columns divide the whole run's wall time,
+    // not the Token Server's share of it.
     const double iters_per_sec =
         p.wall_seconds > 0.0 ? iterations / p.wall_seconds : 0.0;
     const double us_per_event =
@@ -210,15 +212,16 @@ int main(int argc, char** argv) {
     const double us_per_grant =
         p.grants > 0 ? 1e6 * p.wall_seconds / static_cast<double>(p.grants)
                      : 0.0;
+    const double attempts_per_grant =
+        p.grants > 0 ? static_cast<double>(p.grant_attempts) /
+                           static_cast<double>(p.grants)
+                     : 0.0;
     std::fprintf(stderr,
                  "wall[%d workers, %d shard(s)]: %.2f iterations/sec "
-                 "(%.3fs for %d); ts-cost %.2f us/event, %.2f us/grant\n",
+                 "(%.3fs for %d); run wall %.2f us/event, %.2f us/grant; "
+                 "%.2f attempts/grant\n",
                  workers, p.ts_shards, iters_per_sec, p.wall_seconds,
-                 iterations, us_per_event, us_per_grant);
-    if (p.ts_shards > 1) {
-      if (workers == 256) sharded_cost_256 = us_per_event;
-      if (workers == 1024) sharded_cost_1024 = us_per_event;
-    }
+                 iterations, us_per_event, us_per_grant, attempts_per_grant);
 
     common::Json row = common::Json::Object();
     row.Set("engine", r.engine_name);
@@ -233,6 +236,7 @@ int main(int argc, char** argv) {
     row.Set("wall_iterations_per_sec", iters_per_sec);
     row.Set("wall_us_per_event", us_per_event);
     row.Set("wall_us_per_grant", us_per_grant);
+    row.Set("grant_attempts_per_grant", attempts_per_grant);
     row.Set("events_per_iteration", events_per_iter);
     row.Set("transfers_per_iteration", xfers_per_iter);
     row.Set("cross_rack_per_iteration", xrack_per_iter);
@@ -250,6 +254,20 @@ int main(int argc, char** argv) {
                    workers, xfers_per_iter, 64 * workers);
       rc = 1;
     }
+    // The waiter gate: a report's implicit request plus the one-pass
+    // waiter service cost ~1.33 TryGrant calls per grant at every size;
+    // re-trying every parked waiter after every report cost 172 per
+    // grant at 1024 workers.
+    if (p.grant_attempts > 2 * p.grants) {
+      std::fprintf(stderr,
+                   "FAIL: %d workers, %d shard(s) made %llu grant attempts "
+                   "for %llu grants (> 2 per grant): parked waiters are "
+                   "being re-scanned\n",
+                   workers, p.ts_shards,
+                   static_cast<unsigned long long>(p.grant_attempts),
+                   static_cast<unsigned long long>(p.grants));
+      rc = 1;
+    }
     if (workers > 32 && p.cross_rack == 0) {
       std::fprintf(stderr,
                    "FAIL: %d workers on a 32/rack topology produced no "
@@ -259,28 +277,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nwrote scale_workers.csv\n");
-
-  // The per-grant O(rack_size) gate: with one sub-distributor per rack
-  // the TS work per event must stop growing with P — the monolithic
-  // server's victim scans made 1024 workers ~17x costlier per event than
-  // 256. Wall-clock based, so it only arms on full (non-smoke) runs,
-  // and 4x leaves generous headroom over the ~1-2x a flat per-event
-  // profile shows in practice.
-  if (!opts.smoke && sharded_cost_256 > 0.0 && sharded_cost_1024 > 0.0) {
-    const double ratio = sharded_cost_1024 / sharded_cost_256;
-    std::fprintf(stderr,
-                 "ts-cost ratio (sharded 1024 vs 256): %.2fx "
-                 "(%.2f vs %.2f us/event)\n",
-                 ratio, sharded_cost_1024, sharded_cost_256);
-    if (ratio > 4.0) {
-      std::fprintf(stderr,
-                   "FAIL: sharded per-event TS cost grew %.2fx from 256 to "
-                   "1024 workers (> 4x): the sub-distributor split is no "
-                   "longer containing the per-grant scan\n",
-                   ratio);
-      rc = 1;
-    }
-  }
 
   if (!baseline_out.empty()) {
     common::Json doc = common::Json::Object();

@@ -37,9 +37,10 @@ struct FelaConfig {
 
   /// Retry backoff: the k-th consecutive retry of the same request waits
   /// min(retry_timeout_sec * retry_backoff_mult^k, retry_timeout_max_sec)
-  /// scaled by deterministic jitter in [0.5, 1) seeded from
+  /// stretched by a deterministic jitter factor in [1.0, 1.5) seeded from
   /// `retry_jitter_seed` (0 disables jitter; mult 1.0 recovers the old
-  /// fixed-interval behaviour). Keeps a partitioned minority from
+  /// fixed-interval behaviour). Jitter never shortens a wait (see
+  /// common::JitteredBackoffSec). Keeps a partitioned minority from
   /// hammering the control plane in lockstep while it waits for a heal.
   double retry_backoff_mult = 2.0;
   double retry_timeout_max_sec = 60.0;

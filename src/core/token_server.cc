@@ -57,6 +57,7 @@ TokenServer::Stats& TokenServer::Stats::operator+=(const Stats& other) {
   leases_restored += other.leases_restored;
   cross_shard_steals += other.cross_shard_steals;
   donations += other.donations;
+  grant_attempts += other.grant_attempts;
   return *this;
 }
 
@@ -100,6 +101,16 @@ TokenServer::TokenServer(sim::Simulator* sim, const sim::Calibration* cal,
   helper_count_.assign(static_cast<size_t>(n), 0);
   outstanding_.assign(static_cast<size_t>(n), kInvalidTokenId);
   down_.assign(static_cast<size_t>(n), false);
+  // Worker 0 stands for the CTD subset S and worker ctd_subset_size for
+  // everyone outside it; without CTD the worker id does not matter.
+  unscoped_order_ =
+      LevelPriorityFor(0, *config_, *plan_, /*ctd_relaxed=*/true);
+  subset_order_ = LevelPriorityFor(0, *config_, *plan_);
+  outside_order_ =
+      LevelPriorityFor(config_->ctd_subset_size, *config_, *plan_);
+  for (int l : unscoped_order_) {
+    if (plan_->level(l).communication_intensive) comm_order_.push_back(l);
+  }
 }
 
 void TokenServer::NoteBucketAdd(int shard, int level) {
@@ -539,8 +550,10 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
   for (int w = 0; ctd_relaxed && w < config_->ctd_subset_size; ++w) {
     if (!down_[static_cast<size_t>(w)]) ctd_relaxed = false;
   }
-  const std::vector<int> order =
-      LevelPriorityFor(worker, *config_, *plan_, ctd_relaxed);
+  const std::vector<int>& order = ctd_relaxed ? unscoped_order_
+                                  : worker < config_->ctd_subset_size
+                                      ? subset_order_
+                                      : outside_order_;
   if (order.empty()) return std::nullopt;
   // O(levels) fast-fail off the global availability cache: when no
   // bucket anywhere holds a token at any requested level, the request
@@ -593,31 +606,27 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
   // anything else (their priority is T-comm > rest, §III-F) — own STB,
   // then their shard's members, then any donor shard.
   if (CtdActive() && worker < config_->ctd_subset_size) {
-    std::vector<int> comm_order;
-    for (int l : order) {
-      if (plan_->level(l).communication_intensive) comm_order.push_back(l);
-    }
-    if (!comm_order.empty()) {
-      if (own.HasTokenForOrder(comm_order)) {
+    if (!comm_order_.empty()) {
+      if (own.HasTokenForOrder(comm_order_)) {
         std::optional<Token> token =
-            own.Take(worker, info_, comm_order, use_locality);
+            own.Take(worker, info_, comm_order_, use_locality);
         if (token.has_value()) NoteBucketTake(shard, token->level);
         return token;
       }
-      const sim::NodeId victim = ChooseVictim(worker, comm_order, shard);
+      const sim::NodeId victim = ChooseVictim(worker, comm_order_, shard);
       if (victim >= 0) {
         *stolen = true;
         *extra_delay = AcquireLock(shard);
         std::optional<Token> token = stbs_[static_cast<size_t>(victim)].Take(
-            worker, info_, comm_order, use_locality);
+            worker, info_, comm_order_, use_locality);
         if (token.has_value()) NoteBucketTake(shard, token->level);
         return token;
       }
       if (num_shards_ > 1) {
-        const int donor = PickDonorShard(shard, comm_order);
+        const int donor = PickDonorShard(shard, comm_order_);
         if (donor >= 0) {
           const sim::NodeId remote =
-              ChooseVictim(worker, comm_order, donor);
+              ChooseVictim(worker, comm_order_, donor);
           if (remote >= 0) {
             *stolen = true;
             *cross_shard = true;
@@ -625,7 +634,7 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
                 AcquireLock(donor) + 2.0 * cal_->topology.rack_hop_latency_sec;
             std::optional<Token> token =
                 stbs_[static_cast<size_t>(remote)].Take(worker, info_,
-                                                        comm_order,
+                                                        comm_order_,
                                                         use_locality);
             if (token.has_value()) {
               ++shard_stats_[static_cast<size_t>(donor)].donations;
@@ -734,6 +743,7 @@ bool TokenServer::TryGrant(sim::NodeId worker) {
   // could only mean the first was lost, which the lease expiry path
   // recovers.
   const int shard = ShardOfWorker(worker);
+  ++shard_stats_[static_cast<size_t>(shard)].grant_attempts;
   if (down_[static_cast<size_t>(worker)] ||
       shard_fenced_[static_cast<size_t>(shard)] ||
       outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
@@ -806,26 +816,22 @@ void TokenServer::HandleRequest(sim::NodeId worker) {
 }
 
 void TokenServer::ServeWaiters() {
-  // The root drains every shard's queue to a fixed point: a grant in one
-  // shard can unblock another (a completion's generated token may be the
-  // donor surplus a cross-shard waiter needs), so the outer loop repeats
-  // until a full pass over all shards makes no progress. One shard
-  // degenerates to the original single-queue loop.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int s = 0; s < num_shards_; ++s) {
-      if (shard_fenced_[static_cast<size_t>(s)]) continue;
-      auto& waiters = shard_waiters_[static_cast<size_t>(s)];
-      for (auto it = waiters.begin(); it != waiters.end();) {
-        if (TryGrant(*it)) {
-          waiting_[static_cast<size_t>(*it)] = false;
-          it = waiters.erase(it);
-          progress = true;
-        } else {
-          ++it;
-        }
+  // One pass suffices: nothing enters a bucket during it and a failed
+  // TryGrant has no side effects, so a waiter that fails here could not
+  // be granted later in the pass or on a second one. For the same reason
+  // the pass stops as soon as no level holds a token anywhere.
+  if (!AnyTokenAvailable()) return;
+  for (int s = 0; s < num_shards_; ++s) {
+    if (shard_fenced_[static_cast<size_t>(s)]) continue;
+    auto& waiters = shard_waiters_[static_cast<size_t>(s)];
+    for (auto it = waiters.begin(); it != waiters.end();) {
+      if (!TryGrant(*it)) {
+        ++it;
+        continue;
       }
+      waiting_[static_cast<size_t>(*it)] = false;
+      it = waiters.erase(it);
+      if (!AnyTokenAvailable()) return;
     }
   }
 }

@@ -123,6 +123,12 @@ class FELA_THREAD_HOSTILE TokenServer {
     // donation, so no token is owned by two shards.
     uint64_t cross_shard_steals = 0; // grants filled by another shard
     uint64_t donations = 0;          // tokens this shard gave away
+    // Simulator work counter, not a simulated quantity: TryGrant calls
+    // made for this shard's workers, successful or not. The
+    // bench_scale_workers gate reads it (attempts per grant); it is
+    // deliberately kept out of MetricsRegistry, RunStats and every
+    // transcript, so metric dumps and goldens do not depend on it.
+    uint64_t grant_attempts = 0;
 
     /// Element-wise sum — used by the engine to fold stats archived from
     /// failed-over incarnations into one cumulative ledger.
@@ -309,7 +315,13 @@ class FELA_THREAD_HOSTILE TokenServer {
   Token MakeGeneratedToken(int level, std::vector<TokenDep> deps, int shard);
   Grant MakeGrant(Token token, sim::NodeId worker, bool stolen,
                   bool cross_shard, double delay);
+  /// One pass over every live shard's wait queue (shards by index, FIFO
+  /// within a shard), stopping once no bucket holds a token.
   void ServeWaiters();
+  bool AnyTokenAvailable() const {
+    return std::any_of(level_avail_.begin(), level_avail_.end(),
+                       [](int n) { return n > 0; });
+  }
 
   /// Pulls a live lease back: cancels its timer (unless it just fired),
   /// bumps the token's attempt count, returns it to the most local up
@@ -384,6 +396,14 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// maintained (NoteBucketAdd/Take), cross-checked by CheckInvariants.
   std::vector<std::vector<int>> shard_level_avail_;
   std::vector<int> level_avail_;
+  /// The level orders LevelPriorityFor can return, fixed with config and
+  /// plan at construction: unscoped (no CTD, or CTD relaxed), inside the
+  /// CTD subset S, and outside it. comm_order_ holds the
+  /// communication-intensive levels a subset worker hunts first.
+  std::vector<int> unscoped_order_;
+  std::vector<int> subset_order_;
+  std::vector<int> outside_order_;
+  std::vector<int> comm_order_;
   int iteration_ = -1;
   bool all_done_announced_ = false;
   std::vector<Stats> shard_stats_;

@@ -132,6 +132,11 @@ TEST(ThousandWorkerSmoke, TokenLedgerSamplesAndAttribution) {
                 spec.total_batch * 1e-9);
     // The racked fabric actually routed cross-rack traffic.
     EXPECT_GT(cluster.fabric().cross_rack_transfer_count(), 0u);
+    // Waiters are served in one pass that stops when the buckets run
+    // dry, so a grant costs about one attempt, not a re-scan of every
+    // parked worker.
+    const core::TokenServer::Stats ts = fela.ts_stats();
+    EXPECT_LE(ts.grant_attempts, 2 * ts.grants);
   };
   const ExperimentResult result = RunExperiment(
       spec,
