@@ -10,13 +10,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <queue>
-#include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/string_util.h"
 #include "common/tokenize.h"
 #include "core/fela_engine.h"
 #include "core/token_bucket.h"
@@ -31,75 +27,10 @@ namespace {
 
 using namespace fela;
 
-// The pre-slab EventQueue (priority_queue of std::function events plus
-// two unordered_sets for cancel bookkeeping), kept verbatim as the
-// before/after baseline for the slab + generation-tag rework. The BENCH
-// baseline pins the comparison: BM_EventQueue* must beat BM_Legacy* by
-// >= 2x on the push/pop path.
-class LegacyEventQueue {
- public:
-  sim::EventId Push(sim::SimTime when, std::function<void()> fn) {
-    const sim::EventId id = next_id_++;
-    heap_.push(Event{when, id, std::move(fn)});
-    pending_.insert(id);
-    ++size_;
-    return id;
-  }
-
-  bool Cancel(sim::EventId id) {
-    if (pending_.erase(id) == 0) return false;
-    cancelled_.insert(id);
-    --size_;
-    return true;
-  }
-
-  bool empty() const { return size_ == 0; }
-
-  std::pair<sim::SimTime, std::function<void()>> Pop() {
-    SkipCancelled();
-    Event& top = const_cast<Event&>(heap_.top());
-    std::pair<sim::SimTime, std::function<void()>> out{top.when,
-                                                       std::move(top.fn)};
-    pending_.erase(top.id);
-    heap_.pop();
-    --size_;
-    return out;
-  }
-
- private:
-  struct Event {
-    sim::SimTime when;
-    sim::EventId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (!sim::TimeEq(a.when, b.when)) return a.when > b.when;
-      return a.id > b.id;
-    }
-  };
-
-  void SkipCancelled() {
-    while (!heap_.empty()) {
-      auto found = cancelled_.find(heap_.top().id);
-      if (found == cancelled_.end()) return;
-      cancelled_.erase(found);
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::unordered_set<sim::EventId> pending_;
-  std::unordered_set<sim::EventId> cancelled_;
-  sim::EventId next_id_ = 1;
-  size_t size_ = 0;
-};
-
-template <typename Queue>
-void EventQueuePushPop(benchmark::State& state) {
+void BM_EventQueuePushPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Queue q;
+    sim::EventQueue q;
     for (int i = 0; i < n; ++i) {
       q.Push(static_cast<double>((i * 2654435761u) % 1000), [] {});
     }
@@ -107,26 +38,16 @@ void EventQueuePushPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  EventQueuePushPop<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_LegacyEventQueuePushPop(benchmark::State& state) {
-  EventQueuePushPop<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384);
 
 // Cancel-dominated churn: the retry-timer pattern (arm a future event,
 // cancel it, re-arm) over a base of long-lived events. Exercises the
-// O(1) slab cancel against the legacy hash-set bookkeeping, and the
-// compaction that keeps the heap from accreting dead entries.
-template <typename Queue>
-void EventQueueCancelHeavy(benchmark::State& state) {
+// O(1) slab cancel and the compaction that keeps the heap from
+// accreting dead entries.
+void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Queue q;
+    sim::EventQueue q;
     for (int i = 0; i < 16; ++i) q.Push(1e9 + i, [] {});
     for (int i = 0; i < n; ++i) {
       auto id = q.Push(1e6 + i, [] {});
@@ -136,16 +57,7 @@ void EventQueueCancelHeavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  EventQueueCancelHeavy<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1024)->Arg(16384);
-
-void BM_LegacyEventQueueCancelHeavy(benchmark::State& state) {
-  EventQueueCancelHeavy<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueCancelHeavy)->Arg(1024)->Arg(16384);
 
 void BM_SimulatorEventChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -237,8 +149,7 @@ BENCHMARK(BM_FelaFullIterationObserved)->Arg(128)->Arg(1024);
 // The span sink's hot path in isolation: ring-buffer emit of a span
 // carrying a tokenized detail (the production shape after the FELA_TOK
 // migration — a trivially-copyable struct store, no allocation),
-// including wrap-around eviction once the sink is full. The BENCH
-// baseline pins BM_SpanSinkEmit >= 3x BM_LegacySpanSinkEmitText.
+// including wrap-around eviction once the sink is full.
 void BM_SpanSinkEmit(benchmark::State& state) {
   obs::SpanSink sink(/*capacity=*/4096);
   sink.set_enabled(true);
@@ -254,56 +165,6 @@ void BM_SpanSinkEmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpanSinkEmit);
-
-// The pre-tokenization span path, kept verbatim as the before/after
-// baseline: detail is a freshly formatted std::string, so every emit
-// pays an StrFormat plus a string copy into the ring.
-struct LegacySpan {
-  sim::NodeId track = 0;
-  obs::Phase phase = obs::Phase::kIdle;
-  sim::SimTime begin = 0.0;
-  sim::SimTime end = 0.0;
-  int iteration = -1;
-  std::string detail;
-};
-
-class LegacySpanSink {
- public:
-  explicit LegacySpanSink(size_t capacity) : capacity_(capacity) {}
-
-  void Emit(LegacySpan span) {
-    if (spans_.size() < capacity_) {
-      spans_.push_back(std::move(span));
-      return;
-    }
-    spans_[next_] = std::move(span);
-    next_ = (next_ + 1) % capacity_;
-    ++dropped_;
-  }
-
-  size_t size() const { return spans_.size(); }
-
- private:
-  size_t capacity_;
-  std::vector<LegacySpan> spans_;
-  size_t next_ = 0;
-  size_t dropped_ = 0;
-};
-
-void BM_LegacySpanSinkEmitText(benchmark::State& state) {
-  LegacySpanSink sink(/*capacity=*/4096);
-  double t = 0.0;
-  int it = 0;
-  for (auto _ : state) {
-    sink.Emit(LegacySpan{0, obs::Phase::kCompute, t, t + 1.0, it,
-                         common::StrFormat("it=%d b=%g", it, t)});
-    t += 1.0;
-    ++it;
-  }
-  benchmark::DoNotOptimize(sink.size());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LegacySpanSinkEmitText);
 
 // The trace recorder's *enabled* tokenized path: what FELA_TRACE costs
 // when tracing is on — a fixed-width record store, no formatting.
@@ -322,25 +183,6 @@ void BM_TraceRecorderRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceRecorderRecord);
-
-// The same record through the legacy dynamic-string overload (the
-// escape hatch tokenization replaced on hot paths).
-void BM_LegacyTraceRecorderRecordText(benchmark::State& state) {
-  sim::TraceRecorder trace(/*capacity=*/4096);
-  trace.set_enabled(true);
-  double t = 0.0;
-  int it = 0;
-  for (auto _ : state) {
-    trace.Record(t, 0, sim::TraceKind::kTokenGrant,
-                 common::StrFormat("Token_%lld b=%g",
-                                   static_cast<long long>(it), t));
-    t += 1.0;
-    ++it;
-  }
-  benchmark::DoNotOptimize(trace.size());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LegacyTraceRecorderRecordText);
 
 /// One observed GoogLeNet run shared by the transcript benches (built
 /// once — the benches measure transcript serialization, not the run).

@@ -26,8 +26,8 @@ const char* StatusCodeName(StatusCode code);
 
 /// A cheap, copyable success-or-error value. The library does not use
 /// exceptions; fallible operations return Status (or Result<T> below).
-/// [[nodiscard]] is the compile-time twin of fela-lint's
-/// discarded-status rule: silently dropping an error is a bug.
+/// [[nodiscard]] plus the build's -Werror makes silently dropping an
+/// error a compile error.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

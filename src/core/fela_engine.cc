@@ -295,8 +295,8 @@ void FelaEngine::ArmCheckpointTimer() {
   // Once the schedule has no transitions ahead, no future crash or cut
   // can consume a checkpoint — and an unconditionally re-arming timer
   // would keep a stalled run's event queue alive forever.
-  if (cluster_->faults().NextTransitionAfter(cluster_->simulator().now()) ==
-      sim::kNeverTime) {
+  if (sim::IsNever(cluster_->faults().NextTransitionAfter(
+          cluster_->simulator().now()))) {
     return;
   }
   // fela-lint: allow(untraced-event): checkpoints are internal state

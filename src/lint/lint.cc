@@ -33,20 +33,9 @@ const std::vector<RuleInfo> kRules = {
     {"unordered-iter",
      "iteration over a std::unordered_{map,set} member whose body emits "
      "events/output/IDs (iterate a sorted key snapshot instead)"},
-    {"discarded-status", "discarded Status/Result return value"},
-    {"float-eq",
-     "exact floating-point ==/!= comparison in simulation code (compare "
-     "against an epsilon, or suppress if exactness is intended)"},
     {"untraced-event",
      "event-queue mutation (Schedule/ScheduleAt) in an engine hot path "
      "whose function records no FELA_TRACE"},
-    {"untokenized-trace",
-     "raw string detail at a trace/span call site (FELA_TRACE, "
-     "Record, Emit); tokenize with FELA_TOK so the hot path stays "
-     "allocation-free"},
-    {"bare-allow",
-     "suppression comment without a justification; write "
-     "`// fela-lint: allow(<rule>): <reason>`"},
     {"transitive-wall-clock",
      "simulation code calls a function that (transitively) reaches a "
      "wall-clock time source"},
@@ -76,26 +65,15 @@ double LintNowSeconds() {
 // ---------------------------------------------------------------------------
 // Suppressions: `// fela-lint: allow(rule-a, rule-b): rationale`.
 // A suppression on a comment-only line also covers the next code line.
-// The justification (": rationale" after the close paren) is required;
-// an allow() without one still suppresses its rules but is itself a
-// bare-allow finding.
+// The justification (": rationale" after the close paren) is required:
+// an allow() without one suppresses nothing, so its finding still fires.
 // ---------------------------------------------------------------------------
 
-struct SuppressionInfo {
-  /// Per-line set of rule ids allowed on that line.
-  std::vector<std::set<std::string>> allowed;
+/// Per-line set of rule ids allowed on that line.
+using AllowedRules = std::vector<std::set<std::string>>;
 
-  struct BareAllow {
-    size_t line_index = 0;   // 0-based
-    std::string rules;       // comma-joined rule list, for the message
-  };
-  /// allow() comments missing the `: reason` justification.
-  std::vector<BareAllow> bare;
-};
-
-SuppressionInfo ParseSuppressions(const FileText& text) {
-  SuppressionInfo info;
-  info.allowed.resize(text.comments.size());
+AllowedRules ParseSuppressions(const FileText& text) {
+  AllowedRules allowed(text.comments.size());
   for (size_t i = 0; i < text.comments.size(); ++i) {
     const std::string& comment = text.comments[i];
     const size_t tag = comment.find("fela-lint:");
@@ -104,31 +82,25 @@ SuppressionInfo ParseSuppressions(const FileText& text) {
     if (open == std::string::npos) continue;
     const size_t close = comment.find(')', open);
     if (close == std::string::npos) continue;
+    size_t p = close + 1;
+    while (p < comment.size() && comment[p] == ' ') ++p;
+    // No `: reason` after the close paren: not a suppression at all.
+    if (p >= comment.size() || comment[p] != ':' ||
+        Trim(comment.substr(p + 1)).empty()) {
+      continue;
+    }
     std::string rule;
-    std::string joined;
-    for (size_t p = open + 6; p <= close; ++p) {
-      const char c = p < close ? comment[p] : ',';
+    for (size_t q = open + 6; q <= close; ++q) {
+      const char c = q < close ? comment[q] : ',';
       if (c == ',' || c == ' ') {
-        if (!rule.empty()) {
-          info.allowed[i].insert(rule);
-          if (!joined.empty()) joined += ", ";
-          joined += rule;
-        }
+        if (!rule.empty()) allowed[i].insert(rule);
         rule.clear();
       } else {
         rule += c;
       }
     }
-    // Justified form: `allow(...): reason`, reason non-empty.
-    size_t p = close + 1;
-    while (p < comment.size() && comment[p] == ' ') ++p;
-    const bool justified = p < comment.size() && comment[p] == ':' &&
-                           !Trim(comment.substr(p + 1)).empty();
-    if (!justified) {
-      info.bare.push_back(SuppressionInfo::BareAllow{i, joined});
-    }
   }
-  return info;
+  return allowed;
 }
 
 bool LineHasCode(const std::string& code_line) {
@@ -137,7 +109,7 @@ bool LineHasCode(const std::string& code_line) {
   });
 }
 
-bool Suppressed(const std::vector<std::set<std::string>>& allowed,
+bool Suppressed(const AllowedRules& allowed,
                 const std::vector<std::string>& code, size_t line_index,
                 const std::string& rule) {
   if (line_index < allowed.size() && allowed[line_index].count(rule) > 0) {
@@ -204,97 +176,7 @@ std::string MatchRngLabel(const std::string& line) {
 }
 
 // ---------------------------------------------------------------------------
-// Small scanning helpers
-// ---------------------------------------------------------------------------
-
-/// The last identifier of an operand chain read backwards from `pos`
-/// (exclusive): `a.when` -> "when", `h.sum()` -> "sum", `x` -> "x".
-std::string OperandIdentBackward(const std::string& line, size_t pos) {
-  size_t i = pos;
-  while (i > 0 && line[i - 1] == ' ') --i;
-  // Balance back over a trailing call `(...)`.
-  if (i > 0 && line[i - 1] == ')') {
-    int depth = 0;
-    while (i > 0) {
-      --i;
-      if (line[i] == ')') ++depth;
-      if (line[i] == '(') {
-        --depth;
-        if (depth == 0) break;
-      }
-    }
-  }
-  size_t end = i;
-  while (i > 0 && IsIdentChar(line[i - 1])) --i;
-  return line.substr(i, end - i);
-}
-
-/// The last identifier of an operand chain read forwards from `pos`:
-/// `b.when` -> "when", `b.duration()` -> "duration", `0.0` -> "".
-std::string OperandIdentForward(const std::string& line, size_t pos,
-                                bool* is_float_literal) {
-  *is_float_literal = false;
-  size_t i = pos;
-  while (i < line.size() && (line[i] == ' ' || line[i] == '-' ||
-                             line[i] == '+' || line[i] == '(')) {
-    ++i;
-  }
-  if (i < line.size() && std::isdigit(static_cast<unsigned char>(line[i]))) {
-    // Number literal: float iff it has a '.' or exponent (and isn't hex).
-    const size_t start = i;
-    bool has_dot = false;
-    bool has_exp = false;
-    bool hex = i + 1 < line.size() && line[i] == '0' &&
-               (line[i + 1] == 'x' || line[i + 1] == 'X');
-    while (i < line.size() &&
-           (IsIdentChar(line[i]) || line[i] == '.' ||
-            ((line[i] == '+' || line[i] == '-') && i > start &&
-             (line[i - 1] == 'e' || line[i - 1] == 'E')))) {
-      if (line[i] == '.') has_dot = true;
-      if (!hex && (line[i] == 'e' || line[i] == 'E')) has_exp = true;
-      ++i;
-    }
-    *is_float_literal = !hex && (has_dot || has_exp);
-    return std::string();
-  }
-  std::string last;
-  while (i < line.size()) {
-    if (IsIdentChar(line[i])) {
-      size_t start = i;
-      while (i < line.size() && IsIdentChar(line[i])) ++i;
-      last = line.substr(start, i - start);
-      continue;
-    }
-    if (line[i] == '.' || (line[i] == '-' && i + 1 < line.size() &&
-                           line[i + 1] == '>')) {
-      i += line[i] == '.' ? 1 : 2;
-      continue;
-    }
-    break;
-  }
-  return last;
-}
-
-/// True when the operand ending just before `pos` is a float literal,
-/// e.g. `bytes == 0.0` checking the right side of `==` is handled by
-/// OperandIdentForward; this covers `0.0 == bytes`.
-bool FloatLiteralBackward(const std::string& line, size_t pos) {
-  size_t i = pos;
-  while (i > 0 && line[i - 1] == ' ') --i;
-  size_t end = i;
-  bool has_dot = false;
-  while (i > 0 && (IsIdentChar(line[i - 1]) || line[i - 1] == '.')) {
-    --i;
-    if (line[i] == '.') has_dot = true;
-  }
-  if (i == end) return false;
-  if (std::isdigit(static_cast<unsigned char>(line[i])) == 0) return false;
-  return has_dot || line.substr(i, end - i).find_first_of("eE") !=
-                        std::string::npos;
-}
-
-// ---------------------------------------------------------------------------
-// Declaration collectors
+// Declaration collector
 // ---------------------------------------------------------------------------
 
 /// Member/local names declared as std::unordered_{map,set} in this file.
@@ -317,72 +199,6 @@ std::set<std::string> CollectUnorderedMembers(const FileText& text) {
     if (b < e) members.insert(line.substr(b, e - b));
   }
   return members;
-}
-
-/// Names of functions declared/defined with a Status or Result<> return
-/// type anywhere in the file.
-void CollectStatusFunctions(const FileText& text,
-                            std::set<std::string>* names) {
-  for (const std::string& line : text.code) {
-    for (const char* ret : {"Status", "Result"}) {
-      size_t pos = FindWord(line, ret);
-      while (pos != std::string::npos) {
-        size_t p = pos + std::string(ret).size();
-        if (std::string(ret) == "Result") {
-          // Skip the template argument list `<T>`.
-          if (p >= line.size() || line[p] != '<') {
-            pos = FindWord(line, ret, pos + 1);
-            continue;
-          }
-          int depth = 0;
-          while (p < line.size()) {
-            if (line[p] == '<') ++depth;
-            if (line[p] == '>') {
-              --depth;
-              if (depth == 0) {
-                ++p;
-                break;
-              }
-            }
-            ++p;
-          }
-        }
-        while (p < line.size() && (line[p] == ' ' || line[p] == '&')) ++p;
-        size_t b = p;
-        while (p < line.size() && IsIdentChar(line[p])) ++p;
-        if (p > b && p < line.size() && line[p] == '(') {
-          const std::string name = line.substr(b, p - b);
-          // Constructors/factories named like the type are fine; also
-          // skip macro-ish all-caps names.
-          if (name != "Status" && name != "Result") names->insert(name);
-        }
-        pos = FindWord(line, ret, pos + 1);
-      }
-    }
-  }
-}
-
-/// Identifiers declared with a floating-point type in this file
-/// (variables, members, and functions returning double/float/SimTime).
-std::set<std::string> CollectFloatIdents(const FileText& text) {
-  std::set<std::string> idents;
-  for (const std::string& line : text.code) {
-    for (const char* type : {"double", "float", "SimTime"}) {
-      size_t pos = FindWord(line, type);
-      while (pos != std::string::npos) {
-        size_t p = pos + std::string(type).size();
-        while (p < line.size() && (line[p] == ' ' || line[p] == '&' ||
-                                   line[p] == '*')) {
-          ++p;
-        }
-        size_t b = p;
-        while (p < line.size() && IsIdentChar(line[p])) ++p;
-        if (p > b) idents.insert(line.substr(b, p - b));
-        pos = FindWord(line, type, pos + 1);
-      }
-    }
-  }
-  return idents;
 }
 
 // ---------------------------------------------------------------------------
@@ -410,11 +226,11 @@ std::vector<UnorderedLoop> FindUnorderedLoops(
   std::vector<UnorderedLoop> loops;
   if (members.empty()) return loops;
   static const char* kEmitters[] = {
-      "Emit(",       "Record(",     "RecordLazy(",  "FELA_TRACE",
-      "Schedule(",   "ScheduleAt(", "Push(",        "push_back(",
-      "emplace_back(", "Append(",   "AddRow(",      "printf",
-      "<<",          "SendControl(", "Transfer(",   "deliver_grant",
-      "send_report", "send_request", "Increment(",  "Observe(",
+      "Emit(",         "Record(",       "FELA_TRACE",    "Schedule(",
+      "ScheduleAt(",   "Push(",         "push_back(",    "emplace_back(",
+      "Append(",       "AddRow(",       "printf",        "<<",
+      "SendControl(",  "Transfer(",     "deliver_grant", "send_report",
+      "send_request",  "Increment(",    "Observe(",
   };
   const auto& code = text.code;
   for (size_t i = 0; i < code.size(); ++i) {
@@ -527,7 +343,7 @@ std::vector<UnorderedLoop> FindUnorderedLoops(
 struct RuleContext {
   const std::string& path;
   const FileText& text;
-  const std::vector<std::set<std::string>>& allowed;
+  const AllowedRules& allowed;
   std::vector<Finding>* findings;
 
   void Report(size_t line_index, const char* rule, std::string message) {
@@ -587,119 +403,6 @@ void CheckUnorderedIter(RuleContext& ctx,
                    "iteration over unordered container emits output "
                    "('%s'); iterate a sorted key snapshot instead",
                    loop.emitter));
-  }
-}
-
-void CheckDiscardedStatus(RuleContext& ctx,
-                          const std::set<std::string>& status_fns) {
-  if (status_fns.empty()) return;
-  const auto& code = ctx.text.code;
-  for (size_t i = 0; i < code.size(); ++i) {
-    const std::string trimmed = Trim(code[i]);
-    if (trimmed.empty()) continue;
-    // Statement must start the line: optional `ns::` qualifiers, then a
-    // tracked name, then '('.
-    size_t p = 0;
-    std::string name;
-    while (p < trimmed.size()) {
-      size_t b = p;
-      while (p < trimmed.size() && IsIdentChar(trimmed[p])) ++p;
-      if (p == b) break;
-      name = trimmed.substr(b, p - b);
-      if (p + 1 < trimmed.size() && trimmed[p] == ':' &&
-          trimmed[p + 1] == ':') {
-        p += 2;
-        continue;
-      }
-      break;
-    }
-    if (name.empty() || status_fns.count(name) == 0) continue;
-    if (p >= trimmed.size() || trimmed[p] != '(') continue;
-    // Previous code line must end a statement (not an expression
-    // continuation or a return/assignment spanning lines).
-    size_t prev = i;
-    std::string prev_trimmed;
-    while (prev > 0) {
-      --prev;
-      prev_trimmed = Trim(code[prev]);
-      if (!prev_trimmed.empty()) break;
-    }
-    if (!prev_trimmed.empty()) {
-      const char last = prev_trimmed.back();
-      if (last != ';' && last != '{' && last != '}' && last != ':') continue;
-    }
-    // Balance parens from the call across lines; the statement discards
-    // the Status iff the matching ')' is immediately followed by ';'.
-    int depth = 0;
-    size_t l = i;
-    size_t c = code[i].find('(', code[i].find(name));
-    bool discarded = false;
-    bool done = false;
-    for (; l < code.size() && !done; ++l, c = 0) {
-      for (size_t k = c; k < code[l].size(); ++k) {
-        const char ch = code[l][k];
-        if (ch == '(') ++depth;
-        if (ch == ')') {
-          --depth;
-          if (depth == 0) {
-            size_t q = k + 1;
-            while (q < code[l].size() && code[l][q] == ' ') ++q;
-            // `.ok()` / `;` etc: only a bare `;` discards.
-            discarded = q < code[l].size() && code[l][q] == ';';
-            done = true;
-            break;
-          }
-        }
-      }
-    }
-    if (discarded) {
-      ctx.Report(i, "discarded-status",
-                 common::StrFormat("result of Status-returning '%s' is "
-                                   "discarded",
-                                   name.c_str()));
-    }
-  }
-}
-
-void CheckFloatEq(RuleContext& ctx) {
-  const std::set<std::string> floats = CollectFloatIdents(ctx.text);
-  const auto& code = ctx.text.code;
-  for (size_t i = 0; i < code.size(); ++i) {
-    const std::string& line = code[i];
-    for (size_t pos = 0; pos + 1 < line.size(); ++pos) {
-      const char a = line[pos];
-      const char b = line[pos + 1];
-      if (!((a == '=' && b == '=') || (a == '!' && b == '='))) continue;
-      // Skip <=, >=, ===-ish, != inside 'operator!=' declarations.
-      if (pos > 0 && (line[pos - 1] == '<' || line[pos - 1] == '>' ||
-                      line[pos - 1] == '=' || line[pos - 1] == '!')) {
-        continue;
-      }
-      if (pos + 2 < line.size() && line[pos + 2] == '=') continue;
-      if (pos >= 8 && line.compare(pos - 8, 8, "operator") == 0) continue;
-      const std::string left = OperandIdentBackward(line, pos);
-      bool right_literal = false;
-      const std::string right =
-          OperandIdentForward(line, pos + 2, &right_literal);
-      // Pointer/bool comparisons are fine even when the other operand's
-      // name shadows a float.
-      if (left == "nullptr" || right == "nullptr" || left == "true" ||
-          right == "true" || left == "false" || right == "false") {
-        continue;
-      }
-      const bool left_literal = FloatLiteralBackward(line, pos);
-      const bool left_float = !left.empty() && floats.count(left) > 0;
-      const bool right_float = !right.empty() && floats.count(right) > 0;
-      if (left_literal || right_literal || left_float || right_float) {
-        ctx.Report(i, "float-eq",
-                   common::StrFormat(
-                       "exact floating-point %s comparison ('%s' vs '%s')",
-                       a == '=' ? "==" : "!=",
-                       left_literal ? "<literal>" : left.c_str(),
-                       right_literal ? "<literal>" : right.c_str()));
-        pos += 2;
-      }
-    }
   }
 }
 
@@ -771,108 +474,6 @@ void CheckUntracedEvent(RuleContext& ctx) {
   if (in_fn) finish_fn(code.size() - 1);
 }
 
-/// Flags trace/span call sites whose argument list still carries raw
-/// string detail: a quoted literal outside any FELA_TOK(...) extent, or
-/// a StrFormat/to_string/ToString call building the detail at runtime.
-/// Both defeat tokenized tracing — the disabled hot path must stay
-/// allocation-free and the binary transcript only carries tokens.
-void CheckUntokenizedTrace(RuleContext& ctx) {
-  const auto& code = ctx.text.code;
-  for (size_t i = 0; i < code.size(); ++i) {
-    const std::string& line = code[i];
-    // Anchor on call sites: the FELA_TRACE macro, or a member call to
-    // Record/RecordLazy/Emit (`x.Record(` / `p->Emit(`). Definitions and
-    // qualified declarations (`TraceRecorder::Record(`) do not anchor.
-    std::vector<size_t> opens;
-    size_t pos = FindWord(line, "FELA_TRACE");
-    while (pos != std::string::npos) {
-      size_t p = pos + 10;
-      while (p < line.size() && line[p] == ' ') ++p;
-      if (p < line.size() && line[p] == '(') opens.push_back(p);
-      pos = FindWord(line, "FELA_TRACE", pos + 1);
-    }
-    for (const char* fn : {"Record(", "RecordLazy(", "Emit("}) {
-      const size_t len = std::string(fn).size();
-      size_t q = line.find(fn);
-      while (q != std::string::npos) {
-        if (q > 0 && (line[q - 1] == '.' || line[q - 1] == '>')) {
-          opens.push_back(q + len - 1);
-        }
-        q = line.find(fn, q + 1);
-      }
-    }
-    for (size_t open : opens) {
-      // Collect the full parenthesized extent, possibly spanning lines.
-      std::string extent;
-      int depth = 0;
-      bool closed = false;
-      for (size_t l = i; l < code.size() && !closed; ++l) {
-        for (size_t c = l == i ? open : 0; c < code[l].size(); ++c) {
-          const char ch = code[l][c];
-          extent += ch;
-          if (ch == '(') ++depth;
-          if (ch == ')') {
-            --depth;
-            if (depth == 0) {
-              closed = true;
-              break;
-            }
-          }
-        }
-        extent += '\n';
-      }
-      if (!closed) continue;
-      // Blank FELA_TOK(...) sub-extents — their format literal IS the
-      // tokenized path this rule asks for.
-      size_t tok = FindWord(extent, "FELA_TOK");
-      while (tok != std::string::npos) {
-        size_t p = extent.find('(', tok);
-        int d = 0;
-        size_t end = p;
-        for (; p != std::string::npos && p < extent.size(); ++p) {
-          if (extent[p] == '(') ++d;
-          if (extent[p] == ')') {
-            --d;
-            if (d == 0) {
-              end = p + 1;
-              break;
-            }
-          }
-        }
-        for (size_t b = tok; b < end; ++b) extent[b] = ' ';
-        tok = FindWord(extent, "FELA_TOK", end);
-      }
-      const char* culprit = nullptr;
-      if (extent.find('"') != std::string::npos) {
-        culprit = "string literal";
-      } else if (ContainsWord(extent, "StrFormat")) {
-        culprit = "StrFormat";
-      } else if (ContainsWord(extent, "to_string") ||
-                 ContainsWord(extent, "ToString")) {
-        culprit = "to_string/ToString";
-      }
-      if (culprit != nullptr) {
-        ctx.Report(i, "untokenized-trace",
-                   common::StrFormat("raw %s detail at a trace call site; "
-                                     "tokenize with FELA_TOK (or suppress "
-                                     "for genuinely dynamic text)",
-                                     culprit));
-        break;  // one finding per line is enough
-      }
-    }
-  }
-}
-
-void CheckBareAllow(RuleContext& ctx, const SuppressionInfo& sup) {
-  for (const SuppressionInfo::BareAllow& b : sup.bare) {
-    ctx.Report(b.line_index, "bare-allow",
-               common::StrFormat(
-                   "suppression 'allow(%s)' has no justification; write "
-                   "'// fela-lint: allow(%s): <reason>'",
-                   b.rules.c_str(), b.rules.c_str()));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Scoping + file orchestration
 // ---------------------------------------------------------------------------
@@ -906,34 +507,25 @@ std::string SiblingHeaderPath(const std::string& path) {
 
 std::vector<Finding> LintFileImpl(const std::string& path,
                                   const FileText& text,
-                                  const SuppressionInfo& sup,
+                                  const AllowedRules& allowed,
                                   const Options& options,
-                                  const std::set<std::string>& extra_members,
-                                  const std::set<std::string>& status_fns) {
+                                  const std::set<std::string>& extra_members) {
   const std::vector<std::string> parts = PathComponents(path);
   std::vector<Finding> findings;
-  RuleContext ctx{path, text, sup.allowed, &findings};
+  RuleContext ctx{path, text, allowed, &findings};
 
   if (IsSimScoped(parts)) {
     if (RuleEnabled(options, "wall-clock")) CheckWallClock(ctx);
     if (RuleEnabled(options, "unseeded-rng")) CheckUnseededRng(ctx);
-    if (RuleEnabled(options, "float-eq")) CheckFloatEq(ctx);
-    if (RuleEnabled(options, "untokenized-trace")) CheckUntokenizedTrace(ctx);
   }
   if (RuleEnabled(options, "unordered-iter")) {
     std::set<std::string> members = CollectUnorderedMembers(text);
     members.insert(extra_members.begin(), extra_members.end());
     CheckUnorderedIter(ctx, members);
   }
-  if (RuleEnabled(options, "discarded-status")) {
-    std::set<std::string> fns = status_fns;
-    CollectStatusFunctions(text, &fns);
-    CheckDiscardedStatus(ctx, fns);
-  }
   if (IsEngineScoped(path, parts) && RuleEnabled(options, "untraced-event")) {
     CheckUntracedEvent(ctx);
   }
-  if (RuleEnabled(options, "bare-allow")) CheckBareAllow(ctx, sup);
 
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -950,7 +542,7 @@ std::vector<Finding> LintFileImpl(const std::string& path,
 struct TreeContext {
   const Options& options;
   const std::map<std::string, FileText>& texts;
-  const std::map<std::string, SuppressionInfo>& sups;
+  const std::map<std::string, AllowedRules>& sups;
   const SymbolIndex& index;
   std::vector<Finding>* findings;
 
@@ -958,7 +550,7 @@ struct TreeContext {
     const auto si = sups.find(file);
     const auto ti = texts.find(file);
     if (si == sups.end() || ti == texts.end()) return false;
-    return Suppressed(si->second.allowed, ti->second.code,
+    return Suppressed(si->second, ti->second.code,
                       static_cast<size_t>(line) - 1, rule);
   }
 };
@@ -1131,12 +723,10 @@ std::vector<Finding> LintFile(const std::string& path,
                               const std::string& contents,
                               const Options& options,
                               const std::set<std::string>&
-                                  extra_unordered_members,
-                              const std::set<std::string>& status_functions) {
+                                  extra_unordered_members) {
   const FileText text = Preprocess(contents);
-  const SuppressionInfo sup = ParseSuppressions(text);
-  return LintFileImpl(path, text, sup, options, extra_unordered_members,
-                      status_functions);
+  return LintFileImpl(path, text, ParseSuppressions(text), options,
+                      extra_unordered_members);
 }
 
 bool LintTree(const std::vector<std::string>& roots, const Options& options,
@@ -1172,7 +762,7 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
   double t0 = LintNowSeconds();
   std::map<std::string, std::string> loaded;
   std::map<std::string, FileText> texts;
-  std::map<std::string, SuppressionInfo> sups;
+  std::map<std::string, AllowedRules> sups;
   for (const std::string& f : files) {
     std::string contents;
     if (!ReadFile(f, &contents)) {
@@ -1200,10 +790,8 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
 
   // Pass 4: rules.
   t0 = LintNowSeconds();
-  std::set<std::string> status_fns;
   std::map<std::string, std::set<std::string>> header_members;
   for (const std::string& f : files) {
-    CollectStatusFunctions(texts[f], &status_fns);
     header_members[f] = CollectUnorderedMembers(texts[f]);
   }
 
@@ -1247,7 +835,7 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
     }
 
     std::vector<Finding> file_findings =
-        LintFileImpl(f, texts[f], sups[f], options, extra, status_fns);
+        LintFileImpl(f, texts[f], sups[f], options, extra);
     findings->insert(findings->end(), file_findings.begin(),
                      file_findings.end());
 
@@ -1256,7 +844,7 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
     // one — neither should re-fire at every sim call site.
     if (IsSimScopedPath(f)) continue;
     const auto& code = texts[f].code;
-    const auto& allowed = sups[f].allowed;
+    const auto& allowed = sups[f];
     for (size_t i = 0; i < code.size(); ++i) {
       const std::string wall = MatchWallClockLabel(code[i]);
       if (!wall.empty() && !Suppressed(allowed, code, i, "wall-clock") &&

@@ -32,11 +32,7 @@ struct RuleInfo {
 ///   wall-clock       wall-clock time source in deterministic sim code
 ///   unseeded-rng     unseeded/global randomness (only fela::common::Rng)
 ///   unordered-iter   emitting iteration over an unordered container
-///   discarded-status discarded Status/Result return value
-///   float-eq         exact floating-point ==/!= in sim code
 ///   untraced-event   FELA_TRACE-free event scheduling in engine hot paths
-///   untokenized-trace raw string detail at a trace/span call site
-///   bare-allow       suppression comment without a justification
 /// Whole-tree (interprocedural) rules, only run by LintTree:
 ///   transitive-wall-clock  sim code calls a helper that reaches a wall clock
 ///   transitive-rng         sim code calls a helper that reaches unseeded RNG
@@ -70,16 +66,12 @@ struct Timings {
 /// `path` is used both for reporting and for rule scoping (path
 /// components "sim", "core", "baselines", "runtime" mark simulation
 /// code). `extra_unordered_members` seeds the unordered-iter rule with
-/// member names declared elsewhere (the paired header);
-/// `status_functions` seeds discarded-status with the names of
-/// Status/Result-returning functions collected across the tree.
+/// member names declared elsewhere (the paired header).
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& contents,
                               const Options& options,
                               const std::set<std::string>&
-                                  extra_unordered_members = {},
-                              const std::set<std::string>& status_functions =
-                                  {});
+                                  extra_unordered_members = {});
 
 /// Walks `roots` (files or directories), lints every .h/.hpp/.cc/.cpp,
 /// and returns findings sorted by (file, line, rule). Passes:

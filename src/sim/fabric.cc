@@ -47,8 +47,7 @@ void Fabric::Transfer(NodeId src, NodeId dst, double bytes, EventFn done) {
   CheckNode(src);
   CheckNode(dst);
   FELA_CHECK_GE(bytes, 0.0);
-  // fela-lint: allow(float-eq): exactly-zero payloads skip the network.
-  if (src == dst || bytes == 0.0) {
+  if (src == dst || bytes <= 0.0) {
     // Device-local data; no network involvement.
     sim_->Schedule(0.0, std::move(done));
     return;

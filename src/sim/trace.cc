@@ -1,7 +1,5 @@
 #include "sim/trace.h"
 
-#include <utility>
-
 #include "common/string_util.h"
 
 namespace fela::sim {
@@ -67,18 +65,6 @@ const char* TraceKindName(TraceKind kind) {
   return "Unknown";  // unreachable: the switch above is exhaustive
 }
 
-void TraceRecorder::Store(TraceRecord record, std::string dynamic) {
-  if (records_.size() < capacity_) {
-    records_.push_back(record);
-    dynamic_.push_back(std::move(dynamic));
-    return;
-  }
-  records_[next_] = record;  // evict the oldest
-  dynamic_[next_] = std::move(dynamic);
-  next_ = (next_ + 1) % capacity_;
-  ++dropped_;
-}
-
 void TraceRecorder::Record(SimTime time, NodeId node, TraceKind kind,
                            common::TokenizedDetail detail) {
   if (!enabled_ || capacity_ == 0) return;
@@ -90,24 +76,17 @@ void TraceRecorder::Record(SimTime time, NodeId node, TraceKind kind,
   record.arg_count = detail.args.count;
   record.arg_types = detail.args.types;
   for (int i = 0; i < 4; ++i) record.args[i] = detail.args.values[i];
-  Store(record, std::string());
-}
-
-void TraceRecorder::Record(SimTime time, NodeId node, TraceKind kind,
-                           std::string detail) {
-  if (!enabled_ || capacity_ == 0) return;
-  TraceRecord record;
-  record.time = time;
-  record.node = node;
-  record.kind = static_cast<uint8_t>(kind);
-  record.flags = kDynamicDetailFlag;
-  Store(record, std::move(detail));
+  if (records_.size() < capacity_) {
+    records_.push_back(record);
+    return;
+  }
+  records_[next_] = record;  // evict the oldest
+  next_ = (next_ + 1) % capacity_;
+  ++dropped_;
 }
 
 std::string RenderTraceDetail(const TraceRecord& record,
-                              const std::string& dynamic,
                               const common::TokenRegistry* registry) {
-  if ((record.flags & kDynamicDetailFlag) != 0) return dynamic;
   common::TokenizedDetail detail;
   detail.token = record.token;
   detail.args.count = record.arg_count;
@@ -119,15 +98,10 @@ std::string RenderTraceDetail(const TraceRecord& record,
 std::vector<TraceEvent> TraceRecorder::events() const {
   std::vector<TraceEvent> ordered;
   ordered.reserve(records_.size());
-  // next_ is the oldest slot once the ring has wrapped (dropped_ > 0);
-  // before wrapping the vector is already oldest-first from slot 0.
-  const size_t start = dropped_ > 0 ? next_ : 0;
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const size_t slot = (start + i) % records_.size();
-    const TraceRecord& r = records_[slot];
+  for (const TraceRecord& r : records()) {
     ordered.push_back(TraceEvent{r.time, r.node,
                                  static_cast<TraceKind>(r.kind),
-                                 RenderTraceDetail(r, dynamic_[slot])});
+                                 RenderTraceDetail(r)});
   }
   return ordered;
 }
@@ -135,6 +109,8 @@ std::vector<TraceEvent> TraceRecorder::events() const {
 std::vector<TraceRecord> TraceRecorder::records() const {
   std::vector<TraceRecord> ordered;
   ordered.reserve(records_.size());
+  // next_ is the oldest slot once the ring has wrapped (dropped_ > 0);
+  // before wrapping the vector is already oldest-first from slot 0.
   const size_t start = dropped_ > 0 ? next_ : 0;
   for (size_t i = 0; i < records_.size(); ++i) {
     ordered.push_back(records_[(start + i) % records_.size()]);
@@ -142,19 +118,8 @@ std::vector<TraceRecord> TraceRecorder::records() const {
   return ordered;
 }
 
-std::vector<std::string> TraceRecorder::dynamic_details() const {
-  std::vector<std::string> ordered;
-  ordered.reserve(dynamic_.size());
-  const size_t start = dropped_ > 0 ? next_ : 0;
-  for (size_t i = 0; i < dynamic_.size(); ++i) {
-    ordered.push_back(dynamic_[(start + i) % dynamic_.size()]);
-  }
-  return ordered;
-}
-
 void TraceRecorder::Clear() {
   records_.clear();
-  dynamic_.clear();
   next_ = 0;
   dropped_ = 0;
 }

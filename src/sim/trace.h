@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -62,9 +61,7 @@ struct TraceEvent {
 
 /// The stored fixed-width form: no strings, trivially copyable, cheap
 /// to ring-buffer and to serialize. `token`/args hold the tokenized
-/// detail; records carrying a legacy std::string detail (the escape
-/// hatch for genuinely dynamic text) set kDynamicDetailFlag and park
-/// the string in a parallel slot.
+/// detail — the only kind of detail a record can carry.
 struct TraceRecord {
   SimTime time = 0.0;
   uint64_t args[4] = {0, 0, 0, 0};
@@ -73,10 +70,7 @@ struct TraceRecord {
   uint8_t kind = 0;
   uint8_t arg_count = 0;
   uint8_t arg_types = 0;
-  uint8_t flags = 0;
 };
-
-inline constexpr uint8_t kDynamicDetailFlag = 1;
 
 /// Bounded in-memory recorder for scheduling timelines. Disabled by
 /// default (engines skip recording when !enabled()) so the hot path
@@ -94,35 +88,18 @@ class FELA_THREAD_HOSTILE TraceRecorder {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  /// Tokenized hot path: FELA_TRACE lands here.
+  /// FELA_TRACE lands here. The detail is tokenized by type: raw text
+  /// has no overload to bind to, so it cannot reach the ring.
   void Record(SimTime time, NodeId node, TraceKind kind,
               common::TokenizedDetail detail = {});
-
-  /// Legacy/dynamic-detail path for text a fixed-arg token cannot
-  /// carry. Costs a string move per event — keep it off hot paths.
-  void Record(SimTime time, NodeId node, TraceKind kind, std::string detail);
-
-  /// Lazy-detail overload: `detail_fn` (any callable returning something
-  /// convertible to std::string) is only invoked when the recorder is
-  /// enabled, so hot paths pay nothing — not even the StrFormat — when
-  /// tracing is off. Prefer the FELA_TRACE macro at call sites.
-  template <typename DetailFn>
-  void RecordLazy(SimTime time, NodeId node, TraceKind kind,
-                  DetailFn&& detail_fn) {
-    if (!enabled_) return;
-    Record(time, node, kind,
-           std::string(std::forward<DetailFn>(detail_fn)()));
-  }
 
   /// Events oldest-first with details rendered (detokenized via the
   /// global registry). Returns by value: the underlying ring storage is
   /// rotated and the copy is only taken by tests and exporters.
   std::vector<TraceEvent> events() const;
 
-  /// Raw stored records oldest-first, plus the parallel dynamic-detail
-  /// strings (empty unless kDynamicDetailFlag is set).
+  /// Raw stored records oldest-first.
   std::vector<TraceRecord> records() const;
-  std::vector<std::string> dynamic_details() const;
 
   size_t size() const { return records_.size(); }
   size_t capacity() const { return capacity_; }
@@ -133,12 +110,9 @@ class FELA_THREAD_HOSTILE TraceRecorder {
   std::string ToString() const;
 
  private:
-  void Store(TraceRecord record, std::string dynamic);
-
   size_t capacity_;
   bool enabled_ = false;
   std::vector<TraceRecord> records_;
-  std::vector<std::string> dynamic_;  // slot-parallel to records_
   size_t next_ = 0;  // ring cursor: slot the next event overwrites
   size_t dropped_ = 0;
 };
@@ -151,18 +125,15 @@ void AppendTraceDroppedHeader(std::string* out, size_t dropped,
 void AppendTraceLine(std::string* out, SimTime time, NodeId node,
                      TraceKind kind, const std::string& detail);
 
-/// Renders one stored record's detail (token, dynamic string, or "").
+/// Renders one stored record's detail ("" when it has none).
 std::string RenderTraceDetail(const TraceRecord& record,
-                              const std::string& dynamic,
                               const common::TokenRegistry* registry = nullptr);
 
 }  // namespace fela::sim
 
 /// Records a trace event without evaluating the detail unless the
 /// recorder is enabled. `recorder` is a TraceRecorder*; the detail is
-/// either absent or a FELA_TOK format plus up to 4 numeric args (the
-/// tokenized hot path). Text a token cannot carry goes through
-/// TraceRecorder::Record's std::string overload directly.
+/// either absent or a FELA_TOK format plus up to 4 numeric args.
 ///
 ///   FELA_TRACE(trace, now, id, TraceKind::kSyncEnd);
 ///   FELA_TRACE(trace, now, id, TraceKind::kTokenRequest,

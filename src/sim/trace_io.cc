@@ -1,7 +1,5 @@
 #include "sim/trace_io.h"
 
-#include <utility>
-
 #include "common/binio.h"
 #include "sim/chrome_trace.h"
 
@@ -36,12 +34,10 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
 
   if (trace != nullptr) {
     const std::vector<sim::TraceRecord> records = trace->records();
-    const std::vector<std::string> dynamic = trace->dynamic_details();
     binio::AppendU64(&out, records.size());
     binio::AppendU64(&out, trace->dropped());
     binio::AppendU64(&out, trace->capacity());
-    for (size_t i = 0; i < records.size(); ++i) {
-      const sim::TraceRecord& r = records[i];
+    for (const sim::TraceRecord& r : records) {
       binio::AppendF64(&out, r.time);
       for (int a = 0; a < 4; ++a) binio::AppendU64(&out, r.args[a]);
       binio::AppendI32(&out, r.node);
@@ -49,11 +45,7 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
       binio::AppendU8(&out, r.kind);
       binio::AppendU8(&out, r.arg_count);
       binio::AppendU8(&out, r.arg_types);
-      binio::AppendU8(&out, r.flags);
-      if ((r.flags & sim::kDynamicDetailFlag) != 0) {
-        binio::AppendU32(&out, static_cast<uint32_t>(dynamic[i].size()));
-        out += dynamic[i];
-      }
+      binio::AppendU8(&out, 0);  // pad to 52 bytes
     }
   }
 
@@ -63,8 +55,12 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
 
 namespace {
 
-// Reads the body after the header. Returns false on truncation (caller
-// keeps what parsed and marks the stream truncated).
+// TokArgs holds four slots; a record claiming more is corrupt.
+constexpr uint8_t kMaxArgs = 4;
+
+// Reads the body after the header. Returns false on truncation, or at
+// the first record claiming more than kMaxArgs args (caller keeps what
+// parsed and marks the stream truncated).
 bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
   uint64_t span_count = 0;
   if (!binio::ReadU64(bytes, &pos, &span_count) ||
@@ -88,7 +84,8 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
         !binio::ReadU8(bytes, &pos, &phase) ||
         !binio::ReadU8(bytes, &pos, &s.detail.args.count) ||
         !binio::ReadU8(bytes, &pos, &s.detail.args.types) ||
-        !binio::ReadU8(bytes, &pos, &pad)) {
+        !binio::ReadU8(bytes, &pos, &pad) ||
+        s.detail.args.count > kMaxArgs) {
       return false;
     }
     s.phase = static_cast<Phase>(phase);
@@ -104,7 +101,7 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
     }
     for (uint64_t i = 0; i < trace_count; ++i) {
       sim::TraceRecord r;
-      std::string dynamic;
+      uint8_t pad = 0;
       if (!binio::ReadF64(bytes, &pos, &r.time) ||
           !binio::ReadU64(bytes, &pos, &r.args[0]) ||
           !binio::ReadU64(bytes, &pos, &r.args[1]) ||
@@ -115,20 +112,10 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
           !binio::ReadU8(bytes, &pos, &r.kind) ||
           !binio::ReadU8(bytes, &pos, &r.arg_count) ||
           !binio::ReadU8(bytes, &pos, &r.arg_types) ||
-          !binio::ReadU8(bytes, &pos, &r.flags)) {
+          !binio::ReadU8(bytes, &pos, &pad) || r.arg_count > kMaxArgs) {
         return false;
       }
-      if ((r.flags & sim::kDynamicDetailFlag) != 0) {
-        uint32_t len = 0;
-        if (!binio::ReadU32(bytes, &pos, &len) ||
-            bytes.size() - pos < len) {
-          return false;
-        }
-        dynamic.assign(bytes.substr(pos, len));
-        pos += len;
-      }
       out->events.push_back(r);
-      out->dynamic_details.push_back(std::move(dynamic));
     }
   }
 
@@ -166,11 +153,10 @@ std::string RenderTraceText(const BinaryTraceData& data,
     sim::AppendTraceDroppedHeader(&out, data.trace_dropped,
                                   data.trace_capacity);
   }
-  for (size_t i = 0; i < data.events.size(); ++i) {
-    const sim::TraceRecord& r = data.events[i];
-    sim::AppendTraceLine(
-        &out, r.time, r.node, static_cast<sim::TraceKind>(r.kind),
-        sim::RenderTraceDetail(r, data.dynamic_details[i], registry));
+  for (const sim::TraceRecord& r : data.events) {
+    sim::AppendTraceLine(&out, r.time, r.node,
+                         static_cast<sim::TraceKind>(r.kind),
+                         sim::RenderTraceDetail(r, registry));
   }
   if (data.truncated) out += "<truncated binary trace: end of stream>\n";
   return out;
@@ -180,11 +166,10 @@ std::string RenderChromeTrace(const BinaryTraceData& data,
                               const common::TokenRegistry* registry) {
   std::vector<sim::TraceEvent> events;
   events.reserve(data.events.size());
-  for (size_t i = 0; i < data.events.size(); ++i) {
-    const sim::TraceRecord& r = data.events[i];
-    events.push_back(sim::TraceEvent{
-        r.time, r.node, static_cast<sim::TraceKind>(r.kind),
-        sim::RenderTraceDetail(r, data.dynamic_details[i], registry)});
+  for (const sim::TraceRecord& r : data.events) {
+    events.push_back(sim::TraceEvent{r.time, r.node,
+                                     static_cast<sim::TraceKind>(r.kind),
+                                     sim::RenderTraceDetail(r, registry)});
   }
   return ChromeTraceJsonData(data.spans, data.spans_dropped, data.has_trace,
                              events, data.trace_dropped, data.num_workers,

@@ -32,10 +32,10 @@ namespace fela::obs {
 ///     u64 count, u64 dropped, u64 capacity
 ///     count * 52-byte records:
 ///       f64 time, u64 args[4], i32 node, u32 token,
-///       u8 kind, u8 arg_count, u8 arg_types, u8 flags
-///     ...each record with (flags & kDynamicDetailFlag) followed by
-///       u32 len + len bytes of dynamic detail text
+///       u8 kind, u8 arg_count, u8 arg_types, u8 pad(=0)
 ///   trailer "FELAEND\n" (8 bytes)
+/// A record's arg_count is at most 4 (the TokArgs slots); the parser
+/// treats a larger count like a cut and ends the readable stream there.
 inline constexpr std::string_view kBinaryTraceMagic = "FELATRB1";
 inline constexpr std::string_view kBinaryTraceTrailer = "FELAEND\n";
 
@@ -49,13 +49,13 @@ struct BinaryTraceData {
   uint64_t spans_dropped = 0;
   uint64_t span_capacity = 0;
 
-  std::vector<sim::TraceRecord> events;       // oldest-first
-  std::vector<std::string> dynamic_details;   // slot-parallel to events
+  std::vector<sim::TraceRecord> events;  // oldest-first
   uint64_t trace_dropped = 0;
   uint64_t trace_capacity = 0;
 
-  /// True when the input ended mid-stream: everything parsed up to the
-  /// cut is kept, and renderers append an explicit end-of-stream marker.
+  /// True when the input ended mid-stream (or at a corrupt record):
+  /// everything parsed up to the cut is kept, and renderers append an
+  /// explicit end-of-stream marker.
   bool truncated = false;
 };
 

@@ -15,9 +15,9 @@ inline constexpr SimTime kNeverTime =
     std::numeric_limits<SimTime>::infinity();
 
 /// True iff `t` is the kNeverTime sentinel. The dedicated helper (rather
-/// than `t == kNeverTime` at call sites) keeps exact sentinel tests out
-/// of the float-eq lint rule's way: infinity is the one SimTime value
-/// strictly above max().
+/// than `t == kNeverTime` at call sites) keeps exact sentinel tests
+/// clear of -Wfloat-equal: infinity is the one SimTime value strictly
+/// above max().
 constexpr bool IsNever(SimTime t) {
   return t > std::numeric_limits<SimTime>::max();
 }
@@ -25,8 +25,8 @@ constexpr bool IsNever(SimTime t) {
 /// Exact SimTime equality for intentional tie-breaks on event times that
 /// are copied, never recomputed (two spans ending at the same instant,
 /// a residue of exactly zero). Written without `==` so intentional exact
-/// comparisons are distinguishable from accidental ones, which the
-/// float-eq lint rule continues to flag.
+/// comparisons are distinguishable from accidental ones, which
+/// -Wfloat-equal rejects in the simulation libraries.
 constexpr bool TimeEq(SimTime a, SimTime b) { return !(a < b) && !(b < a); }
 
 /// Cluster node index, 0-based. Workers are nodes; the token server is

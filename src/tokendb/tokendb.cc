@@ -125,8 +125,8 @@ bool ValidateFmt(const std::string& fmt, std::string* why) {
     const char conv = fmt[j];
     if (conv == 's' || conv == 'p' || conv == 'n') {
       *why = common::StrFormat(
-          "%%%c cannot be tokenized (args are packed numerics); use the "
-          "std::string Record overload for dynamic text",
+          "%%%c cannot be tokenized (args are packed numerics); write "
+          "the text into the format string itself",
           conv);
       return false;
     }

@@ -1,10 +1,9 @@
-// fela-lint fixture: a suppression without a justification. The old
-// `allow(rule)` spelling still silences float-eq (no double report
-// during migration) but must itself fire bare-allow on line 7.
+// fela-lint fixture: an allow() without a `: reason` suppresses nothing,
+// so the unseeded-rng finding on line 6 still fires.
 namespace fela::fixture {
 
-bool SameTick(double a, double b) {
-  return a == b;  // fela-lint: allow(float-eq) legacy comparison
+int Draw() {
+  return rand();  // fela-lint: allow(unseeded-rng) legacy draw
 }
 
 }  // namespace fela::fixture

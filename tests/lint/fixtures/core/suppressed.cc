@@ -1,6 +1,7 @@
-// fela-lint fixture: one violation per rule, every one suppressed with
-// `fela-lint: allow(<rule>): <why>` — the whole file must lint clean, proving
-// both same-line and preceding-comment-line suppression placement.
+// fela-lint fixture: one violation per per-file rule, every one
+// suppressed with `fela-lint: allow(<rule>): <why>` — the whole file must
+// lint clean, proving both same-line and preceding-comment-line
+// suppression placement.
 #include <unordered_set>
 
 namespace fela::fixture {
@@ -8,8 +9,6 @@ namespace fela::fixture {
 struct Sim {
   void Schedule(double delay, int payload);
 };
-
-common::Status Tidy();
 
 // fela-lint: allow(wall-clock): fixture: suppression on preceding line
 double Wall() { return clock(); }
@@ -30,22 +29,9 @@ class Quiet {
   std::unordered_set<int> held_;
 };
 
-void Caller() {
-  Tidy();  // fela-lint: allow(discarded-status): fixture
-}
-
-bool SameTime(double a, double b) {
-  return a == b;  // fela-lint: allow(float-eq): fixture
-}
-
 void Silent(Sim* sim_) {
   // fela-lint: allow(untraced-event): fixture
   sim_->Schedule(0.0, 0);
-}
-
-void Hush(Sim* trace_) {
-  // fela-lint: allow(untokenized-trace): fixture: genuinely dynamic text
-  FELA_TRACE(trace_, 0.0, 0, 0, "raw detail");
 }
 
 }  // namespace fela::fixture

@@ -132,7 +132,8 @@ TEST(ChromeTraceTest, EmitsValidJsonWithTrackMetadata) {
 
   sim::TraceRecorder trace;
   trace.set_enabled(true);
-  trace.Record(0.25, 1, sim::TraceKind::kTokenGrant, "Token_1");
+  trace.Record(0.25, 1, sim::TraceKind::kTokenGrant,
+               common::TokenizedDetail(FELA_TOK("Token_%d"), 1));
 
   const std::string text = ChromeTraceString(sink, &trace, /*num_workers=*/2);
   common::Json doc;

@@ -18,8 +18,8 @@
 namespace fela::obs {
 namespace {
 
-/// One of everything: tokenized details, detail-less events, a legacy
-/// dynamic-string detail, and enough records to overflow the trace ring.
+/// One of everything: tokenized details with int and double args,
+/// detail-less events, and enough records to overflow the trace ring.
 struct Artifacts {
   SpanSink spans{8};
   sim::TraceRecorder trace{3};
@@ -33,8 +33,8 @@ struct Artifacts {
     FELA_TRACE(&trace, 0.5, 1, sim::TraceKind::kTokenRequest,
                FELA_TOK("it=%d n=%zu"), 3, static_cast<size_t>(1024));
     FELA_TRACE(&trace, 1.5, 2, sim::TraceKind::kFetchEnd);
-    trace.Record(2.0, 0, sim::TraceKind::kConflict,
-                 std::string("dynamic text"));
+    FELA_TRACE(&trace, 2.0, 0, sim::TraceKind::kConflict,
+               FELA_TOK("level=%d t=%.3f"), 2, 2.0);
     // A 4th record on a capacity-3 ring: the oldest event drops and the
     // serialized form must carry the dropped count.
     FELA_TRACE(&trace, 2.5, 0, sim::TraceKind::kSyncEnd);
@@ -109,6 +109,35 @@ TEST(TraceIoTest, TruncatedStreamParsesWithEndOfStreamMarker) {
     EXPECT_EQ(text.substr(text.size() - marker.size()), marker)
         << "cut=" << cut;
   }
+}
+
+TEST(TraceIoTest, RecordClaimingMoreThanFourArgsEndsTheStream) {
+  // TokArgs has four slots, so a record claiming five would send the
+  // detokenizer past them. Such a record ends the readable stream like
+  // a cut does; the records before it are kept.
+  SpanSink spans{8};
+  sim::TraceRecorder trace{8};
+  trace.set_enabled(true);
+  FELA_TRACE(&trace, 0.5, 1, sim::TraceKind::kFetchEnd);
+  FELA_TRACE(&trace, 1.5, 2, sim::TraceKind::kSyncEnd);
+  std::string bytes = SerializeBinaryTrace(spans, &trace, 4);
+  // Header 13 B, empty span section 24 B, trace section header 24 B,
+  // the first 52 B record, then the second record's count byte at 49.
+  bytes[13 + 24 + 24 + 52 + 49] = 5;
+  BinaryTraceData data;
+  std::string error;
+  ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
+  EXPECT_TRUE(data.truncated);
+  EXPECT_EQ(data.events.size(), 1u);
+
+  // The span loop applies the same bound (count byte at 61 of 64 B).
+  spans.set_enabled(true);
+  spans.Emit(Span{0, Phase::kCompute, 0.0, 1.0, 2, {}});
+  bytes = SerializeBinaryTrace(spans, nullptr, 4);
+  bytes[13 + 24 + 61] = 5;
+  ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
+  EXPECT_TRUE(data.truncated);
+  EXPECT_TRUE(data.spans.empty());
 }
 
 TEST(TraceIoTest, MalformedHeaderIsRejected) {

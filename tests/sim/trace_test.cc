@@ -11,14 +11,16 @@ namespace {
 TEST(TraceTest, DisabledByDefault) {
   TraceRecorder t;
   EXPECT_FALSE(t.enabled());
-  t.Record(1.0, 0, TraceKind::kComputeStart, "x");
+  t.Record(1.0, 0, TraceKind::kComputeStart,
+           common::TokenizedDetail(FELA_TOK("x")));
   EXPECT_TRUE(t.events().empty());
 }
 
 TEST(TraceTest, RecordsWhenEnabled) {
   TraceRecorder t;
   t.set_enabled(true);
-  t.Record(1.5, 3, TraceKind::kTokenGrant, "Token_7");
+  t.Record(1.5, 3, TraceKind::kTokenGrant,
+           common::TokenizedDetail(FELA_TOK("Token_%d"), 7));
   ASSERT_EQ(t.events().size(), 1u);
   EXPECT_DOUBLE_EQ(t.events()[0].time, 1.5);
   EXPECT_EQ(t.events()[0].node, 3);
@@ -30,7 +32,7 @@ TEST(TraceTest, CapacityBoundsDrops) {
   TraceRecorder t(2);
   t.set_enabled(true);
   for (int i = 0; i < 5; ++i) {
-    t.Record(i, 0, TraceKind::kComputeEnd, "");
+    t.Record(i, 0, TraceKind::kComputeEnd);
   }
   EXPECT_EQ(t.events().size(), 2u);
   EXPECT_EQ(t.dropped(), 3u);
@@ -40,7 +42,8 @@ TEST(TraceTest, RingKeepsMostRecentWindowOldestFirst) {
   TraceRecorder t(3);
   t.set_enabled(true);
   for (int i = 0; i < 7; ++i) {
-    t.Record(i, 0, TraceKind::kComputeEnd, std::to_string(i));
+    t.Record(i, 0, TraceKind::kComputeEnd,
+             common::TokenizedDetail(FELA_TOK("%d"), i));
   }
   EXPECT_EQ(t.dropped(), 4u);
   const auto events = t.events();
@@ -51,23 +54,6 @@ TEST(TraceTest, RingKeepsMostRecentWindowOldestFirst) {
   EXPECT_EQ(events[1].detail, "5");
   EXPECT_EQ(events[2].detail, "6");
   EXPECT_DOUBLE_EQ(events[0].time, 4.0);
-}
-
-TEST(TraceTest, RecordLazySkipsDetailWhenDisabled) {
-  TraceRecorder t;
-  int calls = 0;
-  auto detail = [&calls] {
-    ++calls;
-    return std::string("expensive");
-  };
-  t.RecordLazy(1.0, 0, TraceKind::kTokenGrant, detail);
-  EXPECT_EQ(calls, 0);
-  EXPECT_TRUE(t.events().empty());
-  t.set_enabled(true);
-  t.RecordLazy(1.0, 0, TraceKind::kTokenGrant, detail);
-  EXPECT_EQ(calls, 1);
-  ASSERT_EQ(t.events().size(), 1u);
-  EXPECT_EQ(t.events()[0].detail, "expensive");
 }
 
 TEST(TraceTest, FelaTraceMacroIsNullSafeAndLazy) {
@@ -93,8 +79,8 @@ TEST(TraceTest, FelaTraceMacroIsNullSafeAndLazy) {
 TEST(TraceTest, ClearResets) {
   TraceRecorder t(1);
   t.set_enabled(true);
-  t.Record(0, 0, TraceKind::kSyncStart, "");
-  t.Record(0, 0, TraceKind::kSyncEnd, "");
+  t.Record(0, 0, TraceKind::kSyncStart);
+  t.Record(0, 0, TraceKind::kSyncEnd);
   t.Clear();
   EXPECT_TRUE(t.events().empty());
   EXPECT_EQ(t.dropped(), 0u);
@@ -103,7 +89,8 @@ TEST(TraceTest, ClearResets) {
 TEST(TraceTest, ToStringContainsKindNames) {
   TraceRecorder t;
   t.set_enabled(true);
-  t.Record(0.25, 2, TraceKind::kHelperSteal, "from w5");
+  t.Record(0.25, 2, TraceKind::kHelperSteal,
+           common::TokenizedDetail(FELA_TOK("from w%d"), 5));
   const std::string s = t.ToString();
   EXPECT_NE(s.find("HelperSteal"), std::string::npos);
   EXPECT_NE(s.find("from w5"), std::string::npos);
