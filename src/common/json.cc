@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -38,58 +38,61 @@ void Json::SortKeysRecursive() {
   }
 }
 
-std::string Json::Quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
+void Json::AppendQuoted(std::string* out, std::string_view s) {
+  *out += '"';
+  size_t plain = 0;  // start of the run of bytes that need no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.substr(plain, i - plain));
+    plain = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        *out += "\\u00";
+        *out += kHex[c >> 4];
+        *out += kHex[c & 0xf];
+      }
     }
   }
-  out += '"';
-  return out;
+  out->append(s.substr(plain));
+  *out += '"';
 }
 
-namespace {
-
-std::string NumberToString(double n) {
-  if (!std::isfinite(n)) return "null";  // JSON has no Inf/NaN
-  if (n == static_cast<double>(static_cast<long long>(n)) &&
-      std::abs(n) < 1e15) {
-    return StrFormat("%lld", static_cast<long long>(n));
+void Json::AppendNumber(std::string* out, double n) {
+  if (!std::isfinite(n)) {
+    *out += "null";  // JSON has no Inf/NaN
+    return;
   }
-  return StrFormat("%.17g", n);
+  // to_chars prints as "%lld" and "%.17g" do. The range test comes
+  // first: casting a double outside long long's range is undefined.
+  const bool integral = std::abs(n) < 1e15 &&
+                        n == static_cast<double>(static_cast<long long>(n));
+  char buf[32];
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof(buf),
+                               static_cast<long long>(n))
+               : std::to_chars(buf, buf + sizeof(buf), n,
+                               std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
-
-}  // namespace
 
 void Json::DumpTo(std::string* out, int indent, int depth) const {
-  const bool pretty = indent >= 0;
-  const std::string pad =
-      pretty ? std::string(static_cast<size_t>(indent * (depth + 1)), ' ') : "";
-  const std::string close_pad =
-      pretty ? std::string(static_cast<size_t>(indent * depth), ' ') : "";
-  const char* nl = pretty ? "\n" : "";
-  const char* colon = pretty ? ": " : ":";
   switch (type_) {
     case Type::kNull:
       *out += "null";
@@ -98,45 +101,27 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       return;
     case Type::kNumber:
-      *out += NumberToString(number_);
+      AppendNumber(out, number_);
       return;
     case Type::kString:
-      *out += Quote(string_);
+      AppendQuoted(out, string_);
       return;
     case Type::kArray: {
-      if (items_.empty()) {
-        *out += "[]";
-        return;
+      JsonScope scope(out, indent, depth, '[');
+      for (const Json& item : items_) {
+        scope.Item();
+        item.DumpTo(out, indent, depth + 1);
       }
-      *out += '[';
-      *out += nl;
-      for (size_t i = 0; i < items_.size(); ++i) {
-        *out += pad;
-        items_[i].DumpTo(out, indent, depth + 1);
-        if (i + 1 < items_.size()) *out += ',';
-        *out += nl;
-      }
-      *out += close_pad;
-      *out += ']';
+      scope.Close();
       return;
     }
     case Type::kObject: {
-      if (members_.empty()) {
-        *out += "{}";
-        return;
+      JsonScope scope(out, indent, depth, '{');
+      for (const auto& [key, value] : members_) {
+        scope.Key(key);
+        value.DumpTo(out, indent, depth + 1);
       }
-      *out += '{';
-      *out += nl;
-      for (size_t i = 0; i < members_.size(); ++i) {
-        *out += pad;
-        *out += Quote(members_[i].first);
-        *out += colon;
-        members_[i].second.DumpTo(out, indent, depth + 1);
-        if (i + 1 < members_.size()) *out += ',';
-        *out += nl;
-      }
-      *out += close_pad;
-      *out += '}';
+      scope.Close();
       return;
     }
   }
@@ -146,6 +131,56 @@ std::string Json::Dump(int indent) const {
   std::string out;
   DumpTo(&out, indent, 0);
   return out;
+}
+
+JsonScope::JsonScope(std::string* out, int indent, int depth, char open)
+    : out_(out),
+      indent_(indent),
+      depth_(depth),
+      close_(open == '[' ? ']' : '}') {
+  *out_ += open;
+}
+
+void JsonScope::Item() {
+  if (!empty_) *out_ += ',';
+  empty_ = false;
+  if (indent_ < 0) return;
+  *out_ += '\n';
+  out_->append(static_cast<size_t>(indent_ * (depth_ + 1)), ' ');
+}
+
+void JsonScope::Key(std::string_view key) {
+  Item();
+  Json::AppendQuoted(out_, key);
+  *out_ += indent_ < 0 ? ":" : ": ";
+}
+
+void JsonScope::Member(std::string_view key, std::string_view value) {
+  Key(key);
+  Json::AppendQuoted(out_, value);
+}
+
+void JsonScope::Member(std::string_view key, double value) {
+  Key(key);
+  Json::AppendNumber(out_, value);
+}
+
+JsonScope JsonScope::OpenItem(char open) {
+  Item();
+  return JsonScope(out_, indent_, depth_ + 1, open);
+}
+
+JsonScope JsonScope::OpenMember(std::string_view key, char open) {
+  Key(key);
+  return JsonScope(out_, indent_, depth_ + 1, open);
+}
+
+void JsonScope::Close() {
+  if (!empty_ && indent_ >= 0) {
+    *out_ += '\n';
+    out_->append(static_cast<size_t>(indent_ * depth_), ' ');
+  }
+  *out_ += close_;
 }
 
 namespace {

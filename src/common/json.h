@@ -69,8 +69,13 @@ class Json {
   /// Returns false and fills `error` (with a byte offset) on failure.
   static bool Parse(std::string_view text, Json* out, std::string* error);
 
-  /// Quotes and escapes `s` as a JSON string literal (including quotes).
-  static std::string Quote(std::string_view s);
+  /// Appends `s` as a quoted, escaped JSON string literal.
+  static void AppendQuoted(std::string* out, std::string_view s);
+
+  /// Appends `n` as Dump prints it: an integral value below 1e15 in
+  /// magnitude as an integer, anything else finite as "%.17g" (exact
+  /// round trip), and a NaN or infinity as null.
+  static void AppendNumber(std::string* out, double n);
 
  private:
   explicit Json(Type t) : type_(t) {}
@@ -83,6 +88,41 @@ class Json {
   std::vector<Json> items_;                            // kArray
   std::vector<std::pair<std::string, Json>> members_;  // kObject, ordered
   std::map<std::string, size_t, std::less<>> index_;   // key -> members_ slot
+};
+
+/// Writes one JSON array or object straight into a string, in exactly
+/// the layout Json::Dump(indent) prints, so a large document streams out
+/// without a Json tree in between (Dump itself writes through it).
+/// Members and items go out in call order; a nested scope from
+/// OpenItem/OpenMember must be closed before its parent goes on.
+class JsonScope {
+ public:
+  /// Opens an array ('[') or object ('{') whose brackets sit at nesting
+  /// level `depth`; `indent` is Dump's.
+  JsonScope(std::string* out, int indent, int depth, char open);
+
+  /// Starts the next array item; the caller appends its value.
+  void Item();
+  /// Starts the next object member; the caller appends its value.
+  void Key(std::string_view key);
+
+  /// One object member with a string or a number value.
+  void Member(std::string_view key, std::string_view value);
+  void Member(std::string_view key, double value);
+
+  /// The next item, or member `key`, as a nested array or object.
+  JsonScope OpenItem(char open);
+  JsonScope OpenMember(std::string_view key, char open);
+
+  /// Writes the closing bracket ("[]" / "{}" when nothing was added).
+  void Close();
+
+ private:
+  std::string* out_;
+  int indent_;
+  int depth_;
+  char close_;
+  bool empty_ = true;
 };
 
 }  // namespace fela::common

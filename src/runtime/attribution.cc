@@ -22,12 +22,13 @@ struct ClippedSpan {
   double end;
 };
 
-/// Spans on `track` clipped to [lo, hi], empty intervals discarded.
-std::vector<ClippedSpan> ClipTrack(const std::vector<Span>& spans,
-                                   sim::NodeId track, double lo, double hi) {
+/// One worker's attributable spans in recorded order, not yet clipped.
+using Track = std::vector<ClippedSpan>;
+
+/// `track` clipped to [lo, hi], empty intervals discarded.
+std::vector<ClippedSpan> ClipTrack(const Track& track, double lo, double hi) {
   std::vector<ClippedSpan> out;
-  for (const Span& s : spans) {
-    if (s.track != track || !Attributable(s.phase)) continue;
+  for (const ClippedSpan& s : track) {
     const double b = std::max(s.begin, lo);
     const double e = std::min(s.end, hi);
     if (e > b) out.push_back(ClippedSpan{s.phase, b, e});
@@ -168,6 +169,17 @@ AttributionReport BuildAttribution(
   for (int w = 0; w < num_workers; ++w) {
     report.workers[static_cast<size_t>(w)].worker = w;
   }
+  // Bucketed once, so each (iteration, worker) window clips only its own
+  // worker's spans: the cost grows as iterations x spans, not iterations
+  // x workers x spans.
+  std::vector<Track> tracks(static_cast<size_t>(num_workers));
+  for (const Span& s : spans) {
+    if (s.track < 0 || s.track >= num_workers || !Attributable(s.phase)) {
+      continue;
+    }
+    tracks[static_cast<size_t>(s.track)].push_back(
+        ClippedSpan{s.phase, s.begin, s.end});
+  }
   for (size_t it = 0; it < iterations.size(); ++it) {
     const double lo = iterations[it].start;
     const double hi = iterations[it].end;
@@ -175,7 +187,8 @@ AttributionReport BuildAttribution(
     std::vector<sim::NodeId> all_tracks;
     for (int w = 0; w < num_workers; ++w) {
       WorkerAttribution& wa = report.workers[static_cast<size_t>(w)];
-      const std::vector<ClippedSpan> mine = ClipTrack(spans, w, lo, hi);
+      const std::vector<ClippedSpan> mine =
+          ClipTrack(tracks[static_cast<size_t>(w)], lo, hi);
       PhaseBreakdown breakdown = Partition(mine, lo, hi);
       wa.run.Add(breakdown);
       wa.iterations.push_back(std::move(breakdown));

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/tokenize.h"
 #include "sim/span.h"
 #include "sim/trace.h"
@@ -14,32 +13,29 @@ namespace fela::obs {
 
 /// Converts a run's spans + trace events into the Chrome trace-event
 /// JSON format, loadable in Perfetto (ui.perfetto.dev) or
-/// chrome://tracing. Layout: pid 0 = the cluster; one tid ("thread")
-/// per worker plus one for the token server / driver (any span track
-/// >= num_workers). Spans become "X" complete events with microsecond
-/// ts/dur; TraceRecorder events become "i" instant markers on their
-/// node's track, so token grants and crashes line up against the
-/// compute/sync intervals they explain.
-common::Json ChromeTraceJson(const SpanSink& spans,
-                             const sim::TraceRecorder* trace, int num_workers);
-
-/// The same conversion from already-extracted data — what both the live
-/// path above and the offline binary-trace converter (tools/fela-detok)
-/// call, so their outputs are byte-identical. Span details are
-/// detokenized through `registry` (the process-global one when null);
-/// `has_trace` mirrors "was a TraceRecorder attached" (it controls the
-/// trace_events_dropped field even when no events were recorded).
-common::Json ChromeTraceJsonData(const std::vector<Span>& spans,
-                                 uint64_t spans_dropped, bool has_trace,
-                                 const std::vector<sim::TraceEvent>& events,
-                                 uint64_t events_dropped, int num_workers,
-                                 const common::TokenRegistry* registry =
-                                     nullptr);
-
-/// ChromeTraceJson serialized ready to write to a .json file.
+/// chrome://tracing, ready to write to a .json file. Layout: pid 0 = the
+/// cluster; one tid ("thread") per worker plus one for the token server
+/// / driver (any span track >= num_workers). Spans become "X" complete
+/// events with microsecond ts/dur; TraceRecorder events become "i"
+/// instant markers on their node's track, so token grants and crashes
+/// line up against the compute/sync intervals they explain.
 std::string ChromeTraceString(const SpanSink& spans,
                               const sim::TraceRecorder* trace,
                               int num_workers);
+
+/// The writer behind ChromeTraceString, from already-extracted records —
+/// what both the live path above and the offline binary-trace converter
+/// (RenderChromeTrace, tools/fela-detok) call, so their outputs are
+/// byte-identical. It appends the bytes straight to the result, in the
+/// layout common::Json::Dump(1) prints. Details are detokenized through
+/// `registry` (the process-global one when null); `has_trace` mirrors
+/// "was a TraceRecorder attached" (it controls the trace_events_dropped
+/// field even when no events were recorded).
+std::string WriteChromeTrace(const std::vector<Span>& spans,
+                             uint64_t spans_dropped, bool has_trace,
+                             const std::vector<sim::TraceRecord>& events,
+                             uint64_t events_dropped, int num_workers,
+                             const common::TokenRegistry* registry = nullptr);
 
 }  // namespace fela::obs
 

@@ -164,17 +164,9 @@ std::string RenderTraceText(const BinaryTraceData& data,
 
 std::string RenderChromeTrace(const BinaryTraceData& data,
                               const common::TokenRegistry* registry) {
-  std::vector<sim::TraceEvent> events;
-  events.reserve(data.events.size());
-  for (const sim::TraceRecord& r : data.events) {
-    events.push_back(sim::TraceEvent{r.time, r.node,
-                                     static_cast<sim::TraceKind>(r.kind),
-                                     sim::RenderTraceDetail(r, registry)});
-  }
-  return ChromeTraceJsonData(data.spans, data.spans_dropped, data.has_trace,
-                             events, data.trace_dropped, data.num_workers,
-                             registry)
-      .Dump(1);
+  return WriteChromeTrace(data.spans, data.spans_dropped, data.has_trace,
+                          data.events, data.trace_dropped, data.num_workers,
+                          registry);
 }
 
 }  // namespace fela::obs

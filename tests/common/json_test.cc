@@ -73,7 +73,19 @@ TEST(JsonTest, PrettyPrintIndents) {
 }
 
 TEST(JsonTest, QuoteEscapes) {
-  EXPECT_EQ(Json::Quote("a\"b\\c\n"), R"("a\"b\\c\n")");
+  std::string out;
+  Json::AppendQuoted(&out, "a\"b\\c\n");
+  EXPECT_EQ(out, R"("a\"b\\c\n")");
+}
+
+TEST(JsonTest, NumbersOutsideTheIntegerRangePrintAsDoubles) {
+  // Integral values at or beyond 1e15 take the "%.17g" form; the ones
+  // past long long's range must not go through an integer cast.
+  EXPECT_EQ(Json(1e300).Dump(), "1.0000000000000001e+300");
+  EXPECT_EQ(Json(-1e19).Dump(), "-1e+19");
+  EXPECT_EQ(Json(9.3e18).Dump(), "9.3e+18");
+  EXPECT_EQ(Json(1e15).Dump(), "1000000000000000");
+  EXPECT_EQ(Json(123.5).Dump(), "123.5");
 }
 
 }  // namespace

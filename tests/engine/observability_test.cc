@@ -204,6 +204,87 @@ TEST(ObservabilityTest, BinaryTraceRoundTripsByteIdenticalUnderFaults) {
   EXPECT_EQ(obs::RenderChromeTrace(data, &offline), result.chrome_trace);
 }
 
+double Seconds(const obs::PhaseBreakdown& b, obs::Phase phase) {
+  return b.seconds[static_cast<size_t>(phase)];
+}
+
+// Hand-built spans pin which spans each (iteration, worker) window sees.
+TEST(ObservabilityTest, AttributionIgnoresSpansOffTheWorkerTracks) {
+  const std::vector<obs::Span> spans = {
+      {2, obs::Phase::kCompute, 0.0, 10.0, 0, {}},  // driver track
+      {0, obs::Phase::kCompute, 0.0, 4.0, 0, {}},
+  };
+  const obs::AttributionReport report =
+      obs::BuildAttribution("unit", 2, spans, {IterationStats{0.0, 10.0}});
+  ASSERT_EQ(report.workers.size(), 2u);
+  EXPECT_DOUBLE_EQ(Seconds(report.workers[0].run, obs::Phase::kCompute), 4.0);
+  EXPECT_DOUBLE_EQ(Seconds(report.workers[0].run, obs::Phase::kIdle), 6.0);
+  EXPECT_DOUBLE_EQ(Seconds(report.workers[1].run, obs::Phase::kIdle), 10.0);
+  ASSERT_EQ(report.critical.size(), 1u);
+  EXPECT_EQ(report.critical[0].last_finisher, 0);
+  EXPECT_DOUBLE_EQ(Seconds(report.critical[0].path, obs::Phase::kCompute),
+                   4.0);
+  EXPECT_DOUBLE_EQ(Seconds(report.critical[0].path, obs::Phase::kIdle), 6.0);
+}
+
+TEST(ObservabilityTest, AttributionIgnoresIterationFramingOnAWorkerTrack) {
+  const std::vector<obs::Span> spans = {
+      {0, obs::Phase::kIteration, 0.0, 10.0, 0, {}},
+      {0, obs::Phase::kCompute, 2.0, 5.0, 0, {}},
+  };
+  const obs::AttributionReport report =
+      obs::BuildAttribution("unit", 1, spans, {IterationStats{0.0, 10.0}});
+  const obs::PhaseBreakdown& run = report.workers[0].run;
+  EXPECT_DOUBLE_EQ(Seconds(run, obs::Phase::kCompute), 3.0);
+  EXPECT_DOUBLE_EQ(Seconds(run, obs::Phase::kIdle), 7.0);
+  EXPECT_DOUBLE_EQ(Seconds(run, obs::Phase::kIteration), 0.0);
+  EXPECT_DOUBLE_EQ(Seconds(report.critical[0].path, obs::Phase::kCompute),
+                   3.0);
+  EXPECT_DOUBLE_EQ(Seconds(report.critical[0].path, obs::Phase::kIdle), 7.0);
+}
+
+TEST(ObservabilityTest, AttributionClipsASpanIntoEveryWindowItCrosses) {
+  const std::vector<obs::Span> spans = {
+      {0, obs::Phase::kCompute, 6.0, 14.0, -1, {}},
+  };
+  const obs::AttributionReport report =
+      obs::BuildAttribution("unit", 1, spans,
+                            {IterationStats{0.0, 10.0},
+                             IterationStats{10.0, 20.0}});
+  const obs::WorkerAttribution& w = report.workers[0];
+  ASSERT_EQ(w.iterations.size(), 2u);
+  for (const obs::PhaseBreakdown& window : w.iterations) {
+    EXPECT_DOUBLE_EQ(Seconds(window, obs::Phase::kCompute), 4.0);
+    EXPECT_DOUBLE_EQ(Seconds(window, obs::Phase::kIdle), 6.0);
+  }
+  EXPECT_DOUBLE_EQ(Seconds(w.run, obs::Phase::kCompute), 8.0);
+  EXPECT_DOUBLE_EQ(w.run.total, 20.0);
+  ASSERT_EQ(report.critical.size(), 2u);
+  for (const obs::IterationCriticalPath& c : report.critical) {
+    EXPECT_DOUBLE_EQ(Seconds(c.path, obs::Phase::kCompute), 4.0);
+    EXPECT_DOUBLE_EQ(Seconds(c.path, obs::Phase::kIdle), 6.0);
+  }
+}
+
+TEST(ObservabilityTest, AttributionBreaksAnExactTieForTheLowerWorker) {
+  // Worker 1's span is recorded first; the critical-path walk still
+  // names worker 0, which comes first in worker order.
+  const std::vector<obs::Span> spans = {
+      {1, obs::Phase::kCompute, 1.0, 9.0, 0, {}},
+      {0, obs::Phase::kCompute, 1.0, 9.0, 0, {}},
+  };
+  const obs::AttributionReport report =
+      obs::BuildAttribution("unit", 2, spans, {IterationStats{0.0, 10.0}});
+  ASSERT_EQ(report.critical.size(), 1u);
+  EXPECT_EQ(report.critical[0].last_finisher, 0);
+  EXPECT_DOUBLE_EQ(Seconds(report.critical[0].path, obs::Phase::kCompute),
+                   8.0);
+  EXPECT_DOUBLE_EQ(Seconds(report.critical[0].path, obs::Phase::kIdle), 2.0);
+  for (const obs::WorkerAttribution& w : report.workers) {
+    EXPECT_DOUBLE_EQ(Seconds(w.run, obs::Phase::kCompute), 8.0);
+  }
+}
+
 TEST(ObservabilityTest, AttributionTableRendersEveryWorker) {
   const auto result = ObservedFelaRun();
   const std::string table = RenderAttributionTable(result.attribution);

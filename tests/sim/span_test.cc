@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "sim/chrome_trace.h"
 #include "sim/trace.h"
 
@@ -173,7 +174,11 @@ TEST(ChromeTraceTest, MicrosecondTimestamps) {
   SpanSink sink;
   sink.set_enabled(true);
   sink.Emit(Span{0, Phase::kCompute, 1.5, 2.0, -1, {}});
-  const common::Json doc = ChromeTraceJson(sink, nullptr, 1);
+  common::Json doc;
+  std::string error;
+  ASSERT_TRUE(
+      common::Json::Parse(ChromeTraceString(sink, nullptr, 1), &doc, &error))
+      << error;
   const common::Json* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   for (const auto& e : events->items()) {

@@ -1,7 +1,8 @@
 // FELATRB1 binary-trace codec tests: serialize → parse → re-render must
 // be byte-identical to the in-process renderers, a truncated stream
 // still parses up to the cut with an explicit end-of-stream marker, and
-// malformed headers are rejected.
+// malformed headers are rejected. The Chrome trace writer both renderers
+// share must print exactly what common::Json::Dump(1) prints.
 
 #include "sim/trace_io.h"
 
@@ -10,6 +11,7 @@
 #include <cstddef>
 #include <string>
 
+#include "common/json.h"
 #include "common/tokenize.h"
 #include "sim/chrome_trace.h"
 #include "sim/span.h"
@@ -138,6 +140,81 @@ TEST(TraceIoTest, RecordClaimingMoreThanFourArgsEndsTheStream) {
   ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
   EXPECT_TRUE(data.truncated);
   EXPECT_TRUE(data.spans.empty());
+}
+
+/// The Chrome trace writer streams bytes without a Json tree; parsing its
+/// output and dumping that again must give the same bytes back, which
+/// holds only if the writer prints what Json::Dump(1) prints.
+void ExpectDumpFixedPoint(const std::string& out) {
+  common::Json doc;
+  std::string error;
+  ASSERT_TRUE(common::Json::Parse(out, &doc, &error)) << error;
+  EXPECT_EQ(doc.Dump(1), out);
+}
+
+TEST(ChromeTraceWriterTest, PrintsWhatJsonDumpPrints) {
+  SpanSink spans;
+  spans.set_enabled(true);
+  // Neither, either and both of iteration and detail; then tracks below
+  // zero and at or past num_workers, which get their own metadata rows.
+  spans.Emit(Span{0, Phase::kCompute, 0.0, 0.5, -1, {}});
+  spans.Emit(Span{1, Phase::kTransfer, 0.25, 0.75, 3, {}});
+  spans.Emit(Span{0, Phase::kSyncWait, 0.5, 1.25, -1,
+                  common::TokenizedDetail(FELA_TOK("n=%d"), 4096)});
+  spans.Emit(Span{1, Phase::kTokenWait, 1.0, 1.125, 4,
+                  common::TokenizedDetail(FELA_TOK("w=%d b=%g"), 5, 0.25)});
+  spans.Emit(Span{-1, Phase::kStraggler, 0.0, 0.1, 0, {}});
+  spans.Emit(Span{5, Phase::kIteration, 0.0, 1.5, 4, {}});
+  spans.Emit(Span{2, Phase::kIteration, 1.5, 3.0, 5, {}});
+  sim::TraceRecorder trace;
+  trace.set_enabled(true);
+  FELA_TRACE(&trace, 0.5, 1, sim::TraceKind::kTokenGrant,
+             FELA_TOK("Token_%d"), 7);
+  FELA_TRACE(&trace, 1.5, 2, sim::TraceKind::kFetchEnd);
+  const std::string full = ChromeTraceString(spans, &trace, 2);
+  ExpectDumpFixedPoint(full);
+  EXPECT_NE(full.find("\"name\": \"worker -1\""), std::string::npos);
+  EXPECT_NE(full.find("\"args\": {}"), std::string::npos);
+
+  // A recorder attached with zero events still reports its drop count.
+  sim::TraceRecorder quiet;
+  const std::string no_events = ChromeTraceString(spans, &quiet, 2);
+  ExpectDumpFixedPoint(no_events);
+  EXPECT_NE(no_events.find("\"trace_events_dropped\": 0"),
+            std::string::npos);
+
+  // No workers and no spans: an empty event list.
+  const std::string empty = ChromeTraceString(SpanSink{}, nullptr, 0);
+  ExpectDumpFixedPoint(empty);
+  EXPECT_NE(empty.find("\"traceEvents\": []"), std::string::npos);
+}
+
+TEST(ChromeTraceWriterTest, EscapesDetailsRenderedThroughARegistry) {
+  // A registry format with every character JSON must escape, rendered
+  // offline into both a span and an instant.
+  constexpr uint32_t kToken = 0x0badf00d;
+  common::TokenRegistry registry;
+  ASSERT_TRUE(registry.Register(kToken, "q\"b\\s\nn\tt\x01 %d"));
+  const common::TokenizedDetail detail(common::TokenizedFmt{kToken, nullptr},
+                                       7);
+  BinaryTraceData data;
+  data.num_workers = 1;
+  data.has_trace = true;
+  data.spans.push_back(Span{0, Phase::kCompute, 0.0, 1.0, 0, detail});
+  sim::TraceRecord record;
+  record.time = 0.5;
+  record.token = detail.token;
+  record.arg_count = detail.args.count;
+  record.arg_types = detail.args.types;
+  record.args[0] = detail.args.values[0];
+  data.events.push_back(record);
+
+  const std::string out = RenderChromeTrace(data, &registry);
+  ExpectDumpFixedPoint(out);
+  const std::string escaped = R"("detail": "q\"b\\s\nn\tt\u0001 7")";
+  const size_t first = out.find(escaped);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_NE(out.find(escaped, first + 1), std::string::npos);
 }
 
 TEST(TraceIoTest, MalformedHeaderIsRejected) {
