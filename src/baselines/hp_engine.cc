@@ -50,9 +50,7 @@ void HpEngine::StartIteration(int iteration) {
     }
   }
   for (int w = 0; w < conv_worker_count(); ++w) {
-    const double fwd = cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1,
-                                          shard_batch_) *
-                       kForwardShare *
+    const double fwd = conv_forward_seconds_ *
                        cluster_->stragglers().SlowdownFor(iteration, w);
     cluster_->gpu(w).Enqueue(fwd, [this, w] { OnConvForwardDone(w); });
   }
@@ -78,8 +76,7 @@ void HpEngine::PumpFc() {
   std::vector<int> owners = {fc_waiting_.front()};
   fc_waiting_.erase(fc_waiting_.begin());
   const double fc_seconds =
-      cost_.RangeSeconds(model_, fc_first_layer_, model_.layer_count() - 1,
-                         shard_batch_) *
+      fc_pass_seconds_ *
       cluster_->stragglers().SlowdownFor(current_iteration_, fc_worker());
   fc_busy_ = true;
   cluster_->gpu(fc_worker())
@@ -99,9 +96,7 @@ void HpEngine::OnFcPassDone(std::vector<int> shard_owners) {
 }
 
 void HpEngine::OnGradsAtConv(int conv_worker) {
-  const double bwd = cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1,
-                                        shard_batch_) *
-                     (1.0 - kForwardShare) *
+  const double bwd = conv_backward_seconds_ *
                      cluster_->stragglers().SlowdownFor(current_iteration_,
                                                         conv_worker);
   cluster_->gpu(conv_worker)
@@ -133,6 +128,14 @@ runtime::RunStats HpEngine::Run(int iterations) {
   FELA_CHECK(stats_.iterations.empty());
   target_iterations_ = iterations;
   cluster_->fabric().ResetStats();
+  // Every shard has the same size, so these are fixed for the run; the
+  // products are the ones each pass would otherwise evaluate.
+  const double conv_seconds =
+      cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1, shard_batch_);
+  conv_forward_seconds_ = conv_seconds * kForwardShare;
+  conv_backward_seconds_ = conv_seconds * (1.0 - kForwardShare);
+  fc_pass_seconds_ = cost_.RangeSeconds(model_, fc_first_layer_,
+                                        model_.layer_count() - 1, shard_batch_);
   StartIteration(0);
   cluster_->simulator().Run();
   FELA_CHECK(run_complete_);

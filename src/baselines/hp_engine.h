@@ -61,6 +61,10 @@ class HpEngine : public runtime::Engine {
   double shard_batch_;      // per CONV worker
   int fc_first_layer_;      // first FC layer index
   double conv_param_bytes_;
+  // One shard's pass durations before straggler slowdown, set by Run().
+  double conv_forward_seconds_ = 0.0;
+  double conv_backward_seconds_ = 0.0;
+  double fc_pass_seconds_ = 0.0;
 
   int target_iterations_ = 0;
   int current_iteration_ = 0;

@@ -18,27 +18,44 @@ MpEngine::MpEngine(runtime::Cluster* cluster, const model::Model& model,
     : cluster_(cluster),
       model_(model),
       cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      total_batch_(total_batch),
       micro_batch_(micro_batch) {
   FELA_CHECK_GT(total_batch, 0.0);
   FELA_CHECK_GT(micro_batch, 0.0);
   num_micros_ = std::max(
       1, static_cast<int>(std::ceil(total_batch / micro_batch)));
+  last_micro_batch_ =
+      total_batch - micro_batch * static_cast<double>(num_micros_ - 1);
   const int stages =
       std::min(cluster->num_workers(), model_.layer_count());
   stages_ = model::EqualLayerCountPartition(model_, stages);
 }
 
-double MpEngine::MicroBatchOf(int micro) const {
-  // Last micro-batch absorbs the remainder.
-  if (micro + 1 < num_micros_) return micro_batch_;
-  return total_batch_ - micro_batch_ * static_cast<double>(num_micros_ - 1);
+void MpEngine::BuildStageCosts() {
+  // Each entry is the expression the pipeline would otherwise evaluate
+  // on every stage hop, on the same operands, so reading it back yields
+  // the very same doubles.
+  const std::array<double, 2> sizes = {micro_batch_, last_micro_batch_};
+  stage_costs_.resize(stages_.size());
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    const auto [lo, hi] = stages_[s];
+    for (size_t k = 0; k < sizes.size(); ++k) {
+      stage_costs_[s].range_seconds[k] =
+          cost_.RangeSeconds(model_, lo, hi, sizes[k]);
+      stage_costs_[s].boundary_bytes[k] =
+          model_.BoundaryActivationElems(lo) * sizes[k] *
+          cluster_->calibration().bytes_per_scalar;
+    }
+  }
+}
+
+double MpEngine::StageSeconds(int stage, int micro) const {
+  return stage_costs_[static_cast<size_t>(stage)]
+      .range_seconds[SizeIndex(micro)];
 }
 
 double MpEngine::BoundaryBytes(int stage, int micro) const {
-  const int first_layer = stages_[static_cast<size_t>(stage)].first;
-  return model_.BoundaryActivationElems(first_layer) * MicroBatchOf(micro) *
-         cluster_->calibration().bytes_per_scalar;
+  return stage_costs_[static_cast<size_t>(stage)]
+      .boundary_bytes[SizeIndex(micro)];
 }
 
 void MpEngine::StartIteration(int iteration) {
@@ -50,6 +67,7 @@ void MpEngine::StartIteration(int iteration) {
     iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
                        obs::Phase::kIteration, iteration);
   }
+  OnIterationStart(iteration);
   for (int s = 0; s < num_stages(); ++s) {
     const double delay = cluster_->stragglers().DelayFor(iteration, s);
     if (delay > 0.0) {
@@ -61,9 +79,8 @@ void MpEngine::StartIteration(int iteration) {
 }
 
 void MpEngine::EnqueueForward(int stage, int micro) {
-  const auto [lo, hi] = stages_[static_cast<size_t>(stage)];
   const double seconds =
-      cost_.RangeSeconds(model_, lo, hi, MicroBatchOf(micro)) * kForwardShare *
+      StageSeconds(stage, micro) * kForwardShare *
       cluster_->stragglers().SlowdownFor(current_iteration_, stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnForwardDone(stage, micro); });
@@ -89,10 +106,8 @@ void MpEngine::OnForwardDone(int stage, int micro) {
 }
 
 void MpEngine::EnqueueBackward(int stage, int micro) {
-  const auto [lo, hi] = stages_[static_cast<size_t>(stage)];
   const double seconds =
-      cost_.RangeSeconds(model_, lo, hi, MicroBatchOf(micro)) *
-      (1.0 - kForwardShare) *
+      StageSeconds(stage, micro) * (1.0 - kForwardShare) *
       cluster_->stragglers().SlowdownFor(current_iteration_, stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnBackwardDone(stage, micro); });
@@ -127,6 +142,7 @@ runtime::RunStats MpEngine::Run(int iterations) {
   FELA_CHECK(stats_.iterations.empty());
   target_iterations_ = iterations;
   cluster_->fabric().ResetStats();
+  BuildStageCosts();
   StartIteration(0);
   cluster_->simulator().Run();
   FELA_CHECK(run_complete_);

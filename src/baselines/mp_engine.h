@@ -1,6 +1,7 @@
 #ifndef FELA_BASELINES_MP_ENGINE_H_
 #define FELA_BASELINES_MP_ENGINE_H_
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,7 +36,31 @@ class MpEngine : public runtime::Engine {
   int num_micro_batches() const { return num_micros_; }
   const std::vector<std::pair<int, int>>& stages() const { return stages_; }
 
+ protected:
+  /// Called once per iteration, after the iteration span opens and
+  /// before straggler delays and stage 0's forwards are queued. A
+  /// subclass that changes `stages_` here must call BuildStageCosts().
+  virtual void OnIterationStart(int iteration) { (void)iteration; }
+
+  /// Re-evaluates the cost model for every stage of `stages_` at both
+  /// micro-batch sizes.
+  void BuildStageCosts();
+
+  runtime::Cluster* cluster_;
+  model::Model model_;
+  model::LayerCostModel cost_;
+  double micro_batch_;
+  int num_micros_;
+  std::vector<std::pair<int, int>> stages_;  // inclusive layer ranges
+
  private:
+  /// A stage's costs at the two micro-batch sizes, indexed by
+  /// SizeIndex(): [0] `micro_batch_`, [1] `last_micro_batch_`.
+  struct StageCost {
+    std::array<double, 2> range_seconds;   // full fwd+bwd pass
+    std::array<double, 2> boundary_bytes;  // activations entering it
+  };
+
   void StartIteration(int iteration);
   void EnqueueForward(int stage, int micro);
   void OnForwardDone(int stage, int micro);
@@ -43,17 +68,14 @@ class MpEngine : public runtime::Engine {
   void OnBackwardDone(int stage, int micro);
   void FinishIteration();
 
+  /// Training pass (fwd+bwd) of `stage` over one micro-batch.
+  double StageSeconds(int stage, int micro) const;
   /// Boundary activation bytes for one micro-batch entering `stage`.
   double BoundaryBytes(int stage, int micro) const;
-  double MicroBatchOf(int micro) const;
+  size_t SizeIndex(int micro) const { return micro + 1 < num_micros_ ? 0 : 1; }
 
-  runtime::Cluster* cluster_;
-  model::Model model_;
-  model::LayerCostModel cost_;
-  double total_batch_;
-  double micro_batch_;
-  int num_micros_;
-  std::vector<std::pair<int, int>> stages_;  // inclusive layer ranges
+  double last_micro_batch_ = 0.0;  // absorbs the remainder of the batch
+  std::vector<StageCost> stage_costs_;  // built by Run()
 
   int target_iterations_ = 0;
   int current_iteration_ = 0;

@@ -1,7 +1,10 @@
 #include "sim/trace_io.h"
 
 #include "common/binio.h"
+#include "common/logging.h"
+#include "common/string_util.h"
 #include "sim/chrome_trace.h"
+#include "sim/types.h"
 
 namespace fela::obs {
 
@@ -10,6 +13,8 @@ namespace binio = ::fela::common;
 std::string SerializeBinaryTrace(const SpanSink& spans,
                                  const sim::TraceRecorder* trace,
                                  int num_workers) {
+  FELA_CHECK(num_workers >= 0 && num_workers <= sim::kMaxInputWorkers)
+      << num_workers;
   std::string out;
   out += kBinaryTraceMagic;
   binio::AppendU32(&out, static_cast<uint32_t>(num_workers));
@@ -138,6 +143,15 @@ bool ParseBinaryTrace(std::string_view bytes, BinaryTraceData* out,
   if (!binio::ReadU32(bytes, &pos, &num_workers) ||
       !binio::ReadU8(bytes, &pos, &has_trace)) {
     if (error != nullptr) *error = "binary trace header truncated";
+    return false;
+  }
+  // Renderers emit a row per worker, so the count is bounded here.
+  if (num_workers > static_cast<uint32_t>(sim::kMaxInputWorkers)) {
+    if (error != nullptr) {
+      *error = common::StrFormat("binary trace header claims %u workers "
+                                 "(at most %d)",
+                                 num_workers, sim::kMaxInputWorkers);
+    }
     return false;
   }
   out->num_workers = static_cast<int>(num_workers);

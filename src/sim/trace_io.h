@@ -66,7 +66,8 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
                                  int num_workers);
 
 /// Parses FELATRB1 bytes. Returns false only on a malformed header
-/// (bad magic / impossibly short input); a stream cut off anywhere
+/// (bad magic / impossibly short input / more than
+/// sim::kMaxInputWorkers workers); a stream cut off anywhere
 /// after the header parses successfully with `out->truncated` set, so
 /// a partial flight-recorder dump is still readable.
 bool ParseBinaryTrace(std::string_view bytes, BinaryTraceData* out,

@@ -33,6 +33,11 @@ constexpr bool TimeEq(SimTime a, SimTime b) { return !(a < b) && !(b < a); }
 /// co-located with node 0 (the paper notes TS is not compute-intensive).
 using NodeId = int;
 
+/// Most workers an external input (a FELATRB1 header, a fuzz repro)
+/// may claim: 16x the largest cluster any bench or test builds (4096).
+/// Parsers reject larger counts before anything is sized by them.
+inline constexpr int kMaxInputWorkers = 65536;
+
 /// Handle returned by Simulator::Schedule (usable for cancellation).
 using EventId = uint64_t;
 

@@ -1,7 +1,9 @@
 #include "testing/spec_gen.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -15,6 +17,7 @@
 #include "sim/faults.h"
 #include "sim/straggler.h"
 #include "sim/topology.h"
+#include "sim/types.h"
 #include "suite/suite.h"
 
 namespace fela::testing {
@@ -221,6 +224,22 @@ runtime::ExperimentSpec ToExperimentSpec(const FuzzSpec& spec) {
   return out;
 }
 
+namespace {
+
+/// The Fela configuration a spec's fields describe.
+core::FelaConfig FelaConfigFor(const FuzzSpec& spec) {
+  core::FelaConfig cfg =
+      core::FelaConfig::Defaults(NumSubModelsFor(spec), spec.num_workers);
+  if (!spec.fela_weights.empty()) cfg.weights = spec.fela_weights;
+  if (spec.fela_ctd_subset > 0) cfg.ctd_subset_size = spec.fela_ctd_subset;
+  cfg.ads_enabled = spec.fela_ads;
+  cfg.hf_enabled = spec.fela_hf;
+  cfg.ts_shards = spec.fela_ts_shards;
+  return cfg;
+}
+
+}  // namespace
+
 runtime::EngineFactory MakeEngineFactory(const FuzzSpec& spec) {
   const model::Model m = ModelFor(spec);
   switch (spec.engine) {
@@ -229,16 +248,7 @@ runtime::EngineFactory MakeEngineFactory(const FuzzSpec& spec) {
     case EngineKind::kMp: return suite::MpFactory(m);
     case EngineKind::kHp: return suite::HpFactory(m);
     case EngineKind::kElasticMp: return suite::ElasticMpFactory(m);
-    case EngineKind::kFela: {
-      core::FelaConfig cfg =
-          core::FelaConfig::Defaults(NumSubModelsFor(spec), spec.num_workers);
-      if (!spec.fela_weights.empty()) cfg.weights = spec.fela_weights;
-      if (spec.fela_ctd_subset > 0) cfg.ctd_subset_size = spec.fela_ctd_subset;
-      cfg.ads_enabled = spec.fela_ads;
-      cfg.hf_enabled = spec.fela_hf;
-      cfg.ts_shards = spec.fela_ts_shards;
-      return suite::FelaFactory(m, cfg);
-    }
+    case EngineKind::kFela: return suite::FelaFactory(m, FelaConfigFor(spec));
   }
   FELA_CHECK(false) << "unknown engine kind";
   return nullptr;
@@ -445,6 +455,40 @@ bool ReadNumber(const common::Json& doc, const char* key, double* out,
   return true;
 }
 
+/// JSON numbers are doubles; casting one that is non-finite, fractional
+/// or outside `int` to int is undefined or silently truncates.
+bool ToInt(double value, const char* field, int* out, std::string* error) {
+  constexpr double kMin = std::numeric_limits<int>::min();
+  constexpr double kMax = std::numeric_limits<int>::max();
+  if (!std::isfinite(value) || std::trunc(value) != value || value < kMin ||
+      value > kMax) {
+    *error = common::StrFormat("field '%s' is not an int: %.17g", field,
+                               value);
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+bool ReadInt(const common::Json& doc, const char* key, int* out,
+             std::string* error) {
+  double value = 0.0;
+  return ReadNumber(doc, key, &value, error) &&
+         ToInt(value, key, out, error);
+}
+
+/// A worker index: an int in [0, num_workers).
+bool ReadWorker(const common::Json& doc, const char* key, int num_workers,
+                int* out, std::string* error) {
+  if (!ReadInt(doc, key, out, error)) return false;
+  if (*out < 0 || *out >= num_workers) {
+    *error = common::StrFormat("field '%s' = %d is not a worker of %d", key,
+                               *out, num_workers);
+    return false;
+  }
+  return true;
+}
+
 bool ReadString(const common::Json& doc, const char* key, std::string* out,
                 std::string* error) {
   const common::Json* v = doc.Find(key);
@@ -473,7 +517,15 @@ bool ReadSeed(const common::Json& doc, const char* key, uint64_t* out,
               std::string* error) {
   const common::Json* v = doc.Find(key);
   if (v != nullptr && v->is_number()) {
-    *out = static_cast<uint64_t>(v->number_value());
+    // Doubles hold every integer only up to 2^53.
+    const double n = v->number_value();
+    if (!(n >= 0.0 && n <= 0x1p53) || std::trunc(n) != n) {
+      *error = common::StrFormat("seed field '%s' is not a decimal string "
+                                 "or an integer in [0, 2^53]: %.17g",
+                                 key, n);
+      return false;
+    }
+    *out = static_cast<uint64_t>(n);
     return true;
   }
   if (v == nullptr || !v->is_string() || v->string_value().empty()) {
@@ -486,7 +538,12 @@ bool ReadSeed(const common::Json& doc, const char* key, uint64_t* out,
       *error = common::StrFormat("non-decimal seed field '%s'", key);
       return false;
     }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      *error = common::StrFormat("seed field '%s' exceeds 64 bits", key);
+      return false;
+    }
+    value = value * 10 + digit;
   }
   *out = value;
   return true;
@@ -501,7 +558,6 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
     return false;
   }
   FuzzSpec spec;
-  double num = 0.0;
   std::string str;
 
   if (!ReadSeed(json, "seed", &spec.seed, error)) return false;
@@ -515,11 +571,25 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
     *error = "unknown model kind: " + str;
     return false;
   }
-  if (!ReadNumber(json, "num_workers", &num, error)) return false;
-  spec.num_workers = static_cast<int>(num);
+  // Two workers is the fuzzer's floor: the generator, the shrinker
+  // (ClampToCluster) and the HP baseline all assume at least two.
+  if (!ReadInt(json, "num_workers", &spec.num_workers, error)) return false;
+  if (spec.num_workers < 2 || spec.num_workers > sim::kMaxInputWorkers) {
+    *error = common::StrFormat("num_workers %d outside [2, %d]",
+                               spec.num_workers, sim::kMaxInputWorkers);
+    return false;
+  }
   if (!ReadNumber(json, "total_batch", &spec.total_batch, error)) return false;
-  if (!ReadNumber(json, "iterations", &num, error)) return false;
-  spec.iterations = static_cast<int>(num);
+  if (!(spec.total_batch > 0.0 && std::isfinite(spec.total_batch))) {
+    *error = common::StrFormat("total_batch %.17g is not positive and finite",
+                               spec.total_batch);
+    return false;
+  }
+  if (!ReadInt(json, "iterations", &spec.iterations, error)) return false;
+  if (spec.iterations < 1) {
+    *error = common::StrFormat("iterations %d < 1", spec.iterations);
+    return false;
+  }
   if (!ReadBool(json, "observe", &spec.observe, error)) return false;
 
   if (!ReadString(json, "straggler", &str, error)) return false;
@@ -533,10 +603,15 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
                   error)) {
     return false;
   }
-  if (!ReadNumber(json, "straggler_victim", &num, error)) return false;
-  spec.straggler_victim = static_cast<int>(num);
-  if (!ReadNumber(json, "straggler_burst", &num, error)) return false;
-  spec.straggler_burst = static_cast<int>(num);
+  if (!ReadWorker(json, "straggler_victim", spec.num_workers,
+                  &spec.straggler_victim, error) ||
+      !ReadInt(json, "straggler_burst", &spec.straggler_burst, error)) {
+    return false;
+  }
+  if (spec.straggler_burst < 1) {
+    *error = common::StrFormat("straggler_burst %d < 1", spec.straggler_burst);
+    return false;
+  }
   if (!ReadNumber(json, "straggler_slowdown", &spec.straggler_slowdown,
                   error)) {
     return false;
@@ -554,8 +629,10 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
       !ReadNumber(json, "recover_time_sec", &spec.recover_time_sec, error)) {
     return false;
   }
-  if (!ReadNumber(json, "crash_worker", &num, error)) return false;
-  spec.crash_worker = static_cast<int>(num);
+  if (!ReadWorker(json, "crash_worker", spec.num_workers, &spec.crash_worker,
+                  error)) {
+    return false;
+  }
   if (!ReadNumber(json, "crash_prob", &spec.crash_prob, error) ||
       !ReadNumber(json, "crash_window_sec", &spec.crash_window_sec, error) ||
       !ReadNumber(json, "crash_down_sec", &spec.crash_down_sec, error) ||
@@ -572,10 +649,11 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
                   error)) {
     return false;
   }
-  if (!ReadNumber(json, "partition_size", &num, error)) return false;
-  spec.partition_size = static_cast<int>(num);
-  if (!ReadNumber(json, "gray_worker", &num, error)) return false;
-  spec.gray_worker = static_cast<int>(num);
+  if (!ReadInt(json, "partition_size", &spec.partition_size, error) ||
+      !ReadWorker(json, "gray_worker", spec.num_workers, &spec.gray_worker,
+                  error)) {
+    return false;
+  }
   if (!ReadNumber(json, "gray_start_sec", &spec.gray_start_sec, error) ||
       !ReadNumber(json, "gray_dur_sec", &spec.gray_dur_sec, error) ||
       !ReadNumber(json, "gray_factor", &spec.gray_factor, error)) {
@@ -594,10 +672,13 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
       *error = "non-numeric weight in 'fela_weights'";
       return false;
     }
-    spec.fela_weights.push_back(static_cast<int>(w.number_value()));
+    int weight = 0;
+    if (!ToInt(w.number_value(), "fela_weights", &weight, error)) return false;
+    spec.fela_weights.push_back(weight);
   }
-  if (!ReadNumber(json, "fela_ctd_subset", &num, error)) return false;
-  spec.fela_ctd_subset = static_cast<int>(num);
+  if (!ReadInt(json, "fela_ctd_subset", &spec.fela_ctd_subset, error)) {
+    return false;
+  }
   if (!ReadBool(json, "fela_ads", &spec.fela_ads, error) ||
       !ReadBool(json, "fela_hf", &spec.fela_hf, error)) {
     return false;
@@ -605,13 +686,22 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
 
   // Topology / sharding fields postdate the format: optional with their
   // flat-unsharded defaults so pre-shard repro files still replay.
-  if (json.Find("rack_size") != nullptr) {
-    if (!ReadNumber(json, "rack_size", &num, error)) return false;
-    spec.rack_size = static_cast<int>(num);
+  if (json.Find("rack_size") != nullptr &&
+      !ReadInt(json, "rack_size", &spec.rack_size, error)) {
+    return false;
   }
-  if (json.Find("fela_ts_shards") != nullptr) {
-    if (!ReadNumber(json, "fela_ts_shards", &num, error)) return false;
-    spec.fela_ts_shards = static_cast<int>(num);
+  if (json.Find("fela_ts_shards") != nullptr &&
+      !ReadInt(json, "fela_ts_shards", &spec.fela_ts_shards, error)) {
+    return false;
+  }
+
+  if (spec.engine == EngineKind::kFela) {
+    const common::Status valid = core::ValidateConfig(
+        FelaConfigFor(spec), NumSubModelsFor(spec), spec.num_workers);
+    if (!valid.ok()) {
+      *error = "invalid Fela config: " + valid.message();
+      return false;
+    }
   }
 
   *out = std::move(spec);

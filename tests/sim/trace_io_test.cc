@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "common/json.h"
@@ -16,6 +17,7 @@
 #include "sim/chrome_trace.h"
 #include "sim/span.h"
 #include "sim/trace.h"
+#include "sim/types.h"
 
 namespace fela::obs {
 namespace {
@@ -140,6 +142,31 @@ TEST(TraceIoTest, RecordClaimingMoreThanFourArgsEndsTheStream) {
   ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
   EXPECT_TRUE(data.truncated);
   EXPECT_TRUE(data.spans.empty());
+}
+
+TEST(TraceIoTest, HeaderClaimingTooManyWorkersIsRejected) {
+  // Renderers write one row per claimed worker, so a corrupt count
+  // (here 0x00FFFFFF) must fail the parse instead of sizing the output.
+  Artifacts a;
+  std::string bytes = SerializeBinaryTrace(a.spans, &a.trace, 4);
+  const size_t count_at = kBinaryTraceMagic.size();  // u32, little-endian
+  const auto patch = [&](uint32_t n) {
+    for (int i = 0; i < 4; ++i) {
+      bytes[count_at + static_cast<size_t>(i)] =
+          static_cast<char>((n >> (8 * i)) & 0xff);
+    }
+  };
+  BinaryTraceData data;
+  std::string error;
+  patch(0x00FFFFFFu);
+  EXPECT_FALSE(ParseBinaryTrace(bytes, &data, &error));
+  EXPECT_NE(error.find("workers"), std::string::npos) << error;
+
+  patch(static_cast<uint32_t>(sim::kMaxInputWorkers) + 1);
+  EXPECT_FALSE(ParseBinaryTrace(bytes, &data, &error));
+  patch(static_cast<uint32_t>(sim::kMaxInputWorkers));
+  ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
+  EXPECT_EQ(data.num_workers, sim::kMaxInputWorkers);
 }
 
 /// The Chrome trace writer streams bytes without a Json tree; parsing its

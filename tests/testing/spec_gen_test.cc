@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -116,6 +118,60 @@ TEST(SpecGenTest, SpecFromJsonRejectsBadDocuments) {
   unknown.Set("engine", "warp-drive");
   EXPECT_FALSE(SpecFromJson(unknown, &out, &error));
   EXPECT_NE(error.find("warp-drive"), std::string::npos);
+
+  // Integer fields are range-checked before any cast, and the cluster
+  // shape before anything is sized by it: each document below must be
+  // rejected with an error naming the field, never aborted, thrown on or
+  // truncated.
+  const FuzzSpec base = GenerateSpec(1);
+  ASSERT_LT(base.straggler_victim, base.num_workers);
+  const struct {
+    const char* field;
+    common::Json value;
+    const char* expect;  // substring of the error
+  } bad[] = {
+      {"num_workers", 0, "num_workers"},
+      {"num_workers", 1, "num_workers"},
+      {"num_workers", 1e12, "num_workers"},
+      {"num_workers", -1, "num_workers"},
+      {"iterations", -3, "iterations"},
+      {"iterations", 0, "iterations"},
+      {"iterations", 2.5, "iterations"},
+      {"iterations", std::nan(""), "iterations"},
+      {"iterations", std::numeric_limits<double>::infinity(), "iterations"},
+      {"straggler_burst", 3e9, "straggler_burst"},
+      {"straggler_burst", 0, "straggler_burst"},
+      {"straggler_victim", base.num_workers, "straggler_victim"},
+      {"crash_worker", -1, "crash_worker"},
+      {"gray_worker", base.num_workers + 7, "gray_worker"},
+      {"fela_ctd_subset", 0.5, "fela_ctd_subset"},
+      {"rack_size", -1e300, "rack_size"},
+      {"total_batch", 0, "total_batch"},
+      {"seed", -1, "seed"},
+      {"seed", "99999999999999999999", "seed"},
+  };
+  for (const auto& b : bad) {
+    common::Json doc = SpecToJson(base);
+    doc.Set(b.field, b.value);
+    error.clear();
+    EXPECT_FALSE(SpecFromJson(doc, &out, &error)) << b.field;
+    EXPECT_NE(error.find(b.expect), std::string::npos) << error;
+  }
+
+  common::Json weights = SpecToJson(base);
+  common::Json fractional = common::Json::Array();
+  fractional.Append(1.5);
+  weights.Set("fela_weights", fractional);
+  EXPECT_FALSE(SpecFromJson(weights, &out, &error));
+  EXPECT_NE(error.find("fela_weights"), std::string::npos) << error;
+
+  // A Fela case is held to the checks the engine's construction applies.
+  common::Json fela = SpecToJson(base);
+  fela.Set("engine", "Fela");
+  ASSERT_TRUE(SpecFromJson(fela, &out, &error)) << error;
+  fela.Set("fela_ts_shards", base.num_workers + 1);
+  EXPECT_FALSE(SpecFromJson(fela, &out, &error));
+  EXPECT_NE(error.find("ts_shards"), std::string::npos) << error;
 }
 
 TEST(SpecGenTest, ClampToClusterRestoresValidity) {
