@@ -10,11 +10,10 @@ namespace fela::baselines {
 
 DpEngine::DpEngine(runtime::Cluster* cluster, const model::Model& model,
                    double total_batch)
-    : cluster_(cluster),
+    : Engine(cluster),
       model_(model),
       cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      memory_(cluster->calibration()),
-      total_batch_(total_batch) {
+      memory_(cluster->calibration()) {
   FELA_CHECK_GT(total_batch, 0.0);
   const int n = cluster_->num_workers();
   per_worker_batch_ = total_batch / static_cast<double>(n);
@@ -34,13 +33,8 @@ DpEngine::DpEngine(runtime::Cluster* cluster, const model::Model& model,
 }
 
 void DpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
+  BeginIteration(iteration);
   workers_pending_ = cluster_->num_workers();
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
   // One full training pass per micro-step; micro-steps run back-to-back
   // on the device (gradient accumulation).
   const double micro_seconds = cost_.RangeSeconds(
@@ -48,11 +42,7 @@ void DpEngine::StartIteration(int iteration) {
   const double compute_seconds =
       micro_seconds * static_cast<double>(micro_steps_);
   for (int w = 0; w < cluster_->num_workers(); ++w) {
-    sim::GpuDevice& gpu = cluster_->gpu(w);
-    const double delay = cluster_->stragglers().DelayFor(iteration, w);
-    if (delay > 0.0) {
-      gpu.BlockUntil(cluster_->simulator().now() + delay);
-    }
+    SleepIfStraggler(w);
     const double slowdown = cluster_->stragglers().SlowdownFor(iteration, w);
     EnqueueCompute(w, compute_seconds * slowdown);
   }
@@ -99,41 +89,8 @@ void DpEngine::OnWorkerComputeDone(int worker, double seconds) {
   std::vector<sim::NodeId> all;
   for (int i = 0; i < cluster_->num_workers(); ++i) all.push_back(i);
   sim::AllReduce(&cluster_->simulator(), &cluster_->fabric(), std::move(all),
-                 param_bytes_, [this] { OnAllReduceDone(); },
+                 param_bytes_, [this] { FinishIteration(); },
                  &cluster_->spans());
-}
-
-void DpEngine::OnAllReduceDone() {
-  stats_.iterations.push_back(runtime::IterationStats{
-      iteration_start_, cluster_->simulator().now()});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats DpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_ || stats_.stalled)
-      << "simulation drained before finishing";
-  if (iter_span_) {
-    // A stalled barrier never ends the iteration; drop the framing span
-    // instead of charging the stall window to it.
-    iter_span_->Cancel();
-    iter_span_.reset();
-  }
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
 }
 
 }  // namespace fela::baselines

@@ -17,14 +17,16 @@ ElasticMpEngine::ElasticMpEngine(runtime::Cluster* cluster,
   period_sleep_start_.assign(stages_.size(), 0.0);
 }
 
-void ElasticMpEngine::OnIterationStart(int iteration) {
-  if (iteration % profile_period_ != 0) return;
-  if (iteration > 0) Repartition();
-  for (size_t s = 0; s < stages_.size(); ++s) {
-    period_busy_start_[s] = cluster_->gpu(static_cast<int>(s)).busy_time();
-    period_sleep_start_[s] =
-        cluster_->gpu(static_cast<int>(s)).injected_sleep();
+void ElasticMpEngine::StartIteration(int iteration) {
+  if (iteration % profile_period_ == 0) {
+    if (iteration > 0) Repartition();
+    for (size_t s = 0; s < stages_.size(); ++s) {
+      period_busy_start_[s] = cluster_->gpu(static_cast<int>(s)).busy_time();
+      period_sleep_start_[s] =
+          cluster_->gpu(static_cast<int>(s)).injected_sleep();
+    }
   }
+  MpEngine::StartIteration(iteration);
 }
 
 void ElasticMpEngine::Repartition() {

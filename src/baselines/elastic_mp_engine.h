@@ -31,9 +31,9 @@ class ElasticMpEngine : public MpEngine {
   int repartition_count() const { return repartition_count_; }
 
  private:
-  /// Re-partitions at every period boundary after the first, then starts
-  /// profiling the new period.
-  void OnIterationStart(int iteration) override;
+  /// Re-partitions at every period boundary after the first and starts
+  /// profiling the new period, then runs the MP iteration.
+  void StartIteration(int iteration) override;
   /// Head-node auto-tuning: re-balance stage layer ranges against the
   /// measured per-worker slowdown of the elapsed profiling period.
   void Repartition();

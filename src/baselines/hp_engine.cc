@@ -11,10 +11,9 @@ constexpr double kForwardShare = 1.0 / 3.0;
 
 HpEngine::HpEngine(runtime::Cluster* cluster, const model::Model& model,
                    double total_batch)
-    : cluster_(cluster),
+    : Engine(cluster),
       model_(model),
-      cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      total_batch_(total_batch) {
+      cost_(cluster->calibration(), &model::ProfileRepository::Default()) {
   FELA_CHECK_GT(total_batch, 0.0);
   FELA_CHECK_GE(cluster->num_workers(), 2);
   shard_batch_ = total_batch / static_cast<double>(conv_worker_count());
@@ -35,20 +34,21 @@ double HpEngine::BoundaryBytesPerShard() const {
          cluster_->calibration().bytes_per_scalar;
 }
 
+void HpEngine::OnRunStart() {
+  // Every shard has the same size, so these are fixed for the run; the
+  // products are the ones each pass would otherwise evaluate.
+  const double conv_seconds =
+      cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1, shard_batch_);
+  conv_forward_seconds_ = conv_seconds * kForwardShare;
+  conv_backward_seconds_ = conv_seconds * (1.0 - kForwardShare);
+  fc_pass_seconds_ = cost_.RangeSeconds(model_, fc_first_layer_,
+                                        model_.layer_count() - 1, shard_batch_);
+}
+
 void HpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
+  BeginIteration(iteration);
   conv_pending_ = conv_worker_count();
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
-  for (int w = 0; w < cluster_->num_workers(); ++w) {
-    const double delay = cluster_->stragglers().DelayFor(iteration, w);
-    if (delay > 0.0) {
-      cluster_->gpu(w).BlockUntil(cluster_->simulator().now() + delay);
-    }
-  }
+  for (int w = 0; w < cluster_->num_workers(); ++w) SleepIfStraggler(w);
   for (int w = 0; w < conv_worker_count(); ++w) {
     const double fwd = conv_forward_seconds_ *
                        cluster_->stragglers().SlowdownFor(iteration, w);
@@ -77,7 +77,7 @@ void HpEngine::PumpFc() {
   fc_waiting_.erase(fc_waiting_.begin());
   const double fc_seconds =
       fc_pass_seconds_ *
-      cluster_->stragglers().SlowdownFor(current_iteration_, fc_worker());
+      cluster_->stragglers().SlowdownFor(current_iteration(), fc_worker());
   fc_busy_ = true;
   cluster_->gpu(fc_worker())
       .Enqueue(fc_seconds, [this, owners = std::move(owners)]() mutable {
@@ -97,7 +97,7 @@ void HpEngine::OnFcPassDone(std::vector<int> shard_owners) {
 
 void HpEngine::OnGradsAtConv(int conv_worker) {
   const double bwd = conv_backward_seconds_ *
-                     cluster_->stragglers().SlowdownFor(current_iteration_,
+                     cluster_->stragglers().SlowdownFor(current_iteration(),
                                                         conv_worker);
   cluster_->gpu(conv_worker)
       .Enqueue(bwd, [this, conv_worker] { OnConvBackwardDone(conv_worker); });
@@ -109,41 +109,7 @@ void HpEngine::OnConvBackwardDone(int) {
   for (int i = 0; i < conv_worker_count(); ++i) conv_workers.push_back(i);
   sim::AllReduce(&cluster_->simulator(), &cluster_->fabric(),
                  std::move(conv_workers), conv_param_bytes_,
-                 [this] { OnConvAllReduceDone(); }, &cluster_->spans());
-}
-
-void HpEngine::OnConvAllReduceDone() {
-  stats_.iterations.push_back(runtime::IterationStats{
-      iteration_start_, cluster_->simulator().now()});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats HpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  // Every shard has the same size, so these are fixed for the run; the
-  // products are the ones each pass would otherwise evaluate.
-  const double conv_seconds =
-      cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1, shard_batch_);
-  conv_forward_seconds_ = conv_seconds * kForwardShare;
-  conv_backward_seconds_ = conv_seconds * (1.0 - kForwardShare);
-  fc_pass_seconds_ = cost_.RangeSeconds(model_, fc_first_layer_,
-                                        model_.layer_count() - 1, shard_batch_);
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_);
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
+                 [this] { FinishIteration(); }, &cluster_->spans());
 }
 
 }  // namespace fela::baselines

@@ -1,7 +1,6 @@
 #ifndef FELA_BASELINES_HP_ENGINE_H_
 #define FELA_BASELINES_HP_ENGINE_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "model/model.h"
 #include "runtime/cluster.h"
 #include "runtime/engine.h"
-#include "sim/span.h"
 
 namespace fela::baselines {
 
@@ -36,46 +34,36 @@ class HpEngine : public runtime::Engine {
            double total_batch);
 
   std::string name() const override { return "HP"; }
-  runtime::RunStats Run(int iterations) override;
 
   int fc_first_layer() const { return fc_first_layer_; }
   int conv_worker_count() const { return cluster_->num_workers() - 1; }
   sim::NodeId fc_worker() const { return cluster_->num_workers() - 1; }
 
  private:
-  void StartIteration(int iteration);
+  void OnRunStart() override;  // computes the pass durations below
+  void StartIteration(int iteration) override;
   void OnConvForwardDone(int conv_worker);
   void OnActivationsAtFc(int conv_worker);
   void PumpFc();
   void OnFcPassDone(std::vector<int> shard_owners);
   void OnGradsAtConv(int conv_worker);
   void OnConvBackwardDone(int conv_worker);
-  void OnConvAllReduceDone();
 
   double BoundaryBytesPerShard() const;
 
-  runtime::Cluster* cluster_;
   model::Model model_;
   model::LayerCostModel cost_;
-  double total_batch_;
   double shard_batch_;      // per CONV worker
   int fc_first_layer_;      // first FC layer index
   double conv_param_bytes_;
-  // One shard's pass durations before straggler slowdown, set by Run().
+  // One shard's pass durations before straggler slowdown.
   double conv_forward_seconds_ = 0.0;
   double conv_backward_seconds_ = 0.0;
   double fc_pass_seconds_ = 0.0;
 
-  int target_iterations_ = 0;
-  int current_iteration_ = 0;
-  sim::SimTime iteration_start_ = 0.0;
   int conv_pending_ = 0;
   std::vector<int> fc_waiting_;  // conv workers whose shards await FC
   bool fc_busy_ = false;
-  bool run_complete_ = false;
-  runtime::RunStats stats_;
-  /// Iteration framing span on the driver track (= num_workers).
-  std::optional<obs::ScopedSpan> iter_span_;
 };
 
 }  // namespace fela::baselines

@@ -15,7 +15,7 @@ constexpr double kForwardShare = 1.0 / 3.0;
 
 MpEngine::MpEngine(runtime::Cluster* cluster, const model::Model& model,
                    double total_batch, double micro_batch)
-    : cluster_(cluster),
+    : Engine(cluster),
       model_(model),
       cost_(cluster->calibration(), &model::ProfileRepository::Default()),
       micro_batch_(micro_batch) {
@@ -58,22 +58,13 @@ double MpEngine::BoundaryBytes(int stage, int micro) const {
       .boundary_bytes[SizeIndex(micro)];
 }
 
+void MpEngine::OnRunStart() { BuildStageCosts(); }
+
 void MpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
+  BeginIteration(iteration);
   backwards_pending_ = num_micros_;
   tail_forwards_done_ = 0;
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
-  OnIterationStart(iteration);
-  for (int s = 0; s < num_stages(); ++s) {
-    const double delay = cluster_->stragglers().DelayFor(iteration, s);
-    if (delay > 0.0) {
-      cluster_->gpu(s).BlockUntil(cluster_->simulator().now() + delay);
-    }
-  }
+  for (int s = 0; s < num_stages(); ++s) SleepIfStraggler(s);
   // Stage 0 ingests every micro-batch back-to-back (samples are local).
   for (int k = 0; k < num_micros_; ++k) EnqueueForward(0, k);
 }
@@ -81,7 +72,7 @@ void MpEngine::StartIteration(int iteration) {
 void MpEngine::EnqueueForward(int stage, int micro) {
   const double seconds =
       StageSeconds(stage, micro) * kForwardShare *
-      cluster_->stragglers().SlowdownFor(current_iteration_, stage);
+      cluster_->stragglers().SlowdownFor(current_iteration(), stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnForwardDone(stage, micro); });
 }
@@ -108,7 +99,7 @@ void MpEngine::OnForwardDone(int stage, int micro) {
 void MpEngine::EnqueueBackward(int stage, int micro) {
   const double seconds =
       StageSeconds(stage, micro) * (1.0 - kForwardShare) *
-      cluster_->stragglers().SlowdownFor(current_iteration_, stage);
+      cluster_->stragglers().SlowdownFor(current_iteration(), stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnBackwardDone(stage, micro); });
 }
@@ -120,37 +111,10 @@ void MpEngine::OnBackwardDone(int stage, int micro) {
     cluster_->fabric().Transfer(
         stage, stage - 1, BoundaryBytes(stage, micro),
         [this, stage, micro] { EnqueueBackward(stage - 1, micro); });
-  } else {
-    if (--backwards_pending_ == 0) FinishIteration();
+  } else if (--backwards_pending_ == 0) {
+    // Every stage owns its parameters exclusively: no synchronization.
+    FinishIteration();
   }
-}
-
-void MpEngine::FinishIteration() {
-  // Every stage owns its parameters exclusively: no synchronization.
-  stats_.iterations.push_back(runtime::IterationStats{
-      iteration_start_, cluster_->simulator().now()});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats MpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  BuildStageCosts();
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_);
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
 }
 
 }  // namespace fela::baselines

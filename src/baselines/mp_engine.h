@@ -2,7 +2,6 @@
 #define FELA_BASELINES_MP_ENGINE_H_
 
 #include <array>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "model/partition.h"
 #include "runtime/cluster.h"
 #include "runtime/engine.h"
-#include "sim/span.h"
 
 namespace fela::baselines {
 
@@ -30,23 +28,20 @@ class MpEngine : public runtime::Engine {
            double total_batch, double micro_batch = 4.0);
 
   std::string name() const override { return "MP"; }
-  runtime::RunStats Run(int iterations) override;
 
   int num_stages() const { return static_cast<int>(stages_.size()); }
   int num_micro_batches() const { return num_micros_; }
   const std::vector<std::pair<int, int>>& stages() const { return stages_; }
 
  protected:
-  /// Called once per iteration, after the iteration span opens and
-  /// before straggler delays and stage 0's forwards are queued. A
-  /// subclass that changes `stages_` here must call BuildStageCosts().
-  virtual void OnIterationStart(int iteration) { (void)iteration; }
+  /// A subclass that changes `stages_` before calling this must call
+  /// BuildStageCosts() first.
+  void StartIteration(int iteration) override;
 
   /// Re-evaluates the cost model for every stage of `stages_` at both
   /// micro-batch sizes.
   void BuildStageCosts();
 
-  runtime::Cluster* cluster_;
   model::Model model_;
   model::LayerCostModel cost_;
   double micro_batch_;
@@ -61,12 +56,11 @@ class MpEngine : public runtime::Engine {
     std::array<double, 2> boundary_bytes;  // activations entering it
   };
 
-  void StartIteration(int iteration);
+  void OnRunStart() override;  // builds the initial stage-cost table
   void EnqueueForward(int stage, int micro);
   void OnForwardDone(int stage, int micro);
   void EnqueueBackward(int stage, int micro);
   void OnBackwardDone(int stage, int micro);
-  void FinishIteration();
 
   /// Training pass (fwd+bwd) of `stage` over one micro-batch.
   double StageSeconds(int stage, int micro) const;
@@ -75,17 +69,10 @@ class MpEngine : public runtime::Engine {
   size_t SizeIndex(int micro) const { return micro + 1 < num_micros_ ? 0 : 1; }
 
   double last_micro_batch_ = 0.0;  // absorbs the remainder of the batch
-  std::vector<StageCost> stage_costs_;  // built by Run()
+  std::vector<StageCost> stage_costs_;  // built by OnRunStart()
 
-  int target_iterations_ = 0;
-  int current_iteration_ = 0;
-  sim::SimTime iteration_start_ = 0.0;
   int backwards_pending_ = 0;
   int tail_forwards_done_ = 0;
-  bool run_complete_ = false;
-  runtime::RunStats stats_;
-  /// Iteration framing span on the driver track (= num_workers).
-  std::optional<obs::ScopedSpan> iter_span_;
 };
 
 }  // namespace fela::baselines

@@ -9,11 +9,10 @@ namespace fela::baselines {
 
 PsDpEngine::PsDpEngine(runtime::Cluster* cluster, const model::Model& model,
                        double total_batch, int num_servers)
-    : cluster_(cluster),
+    : Engine(cluster),
       model_(model),
       cost_(cluster->calibration(), &model::ProfileRepository::Default()),
       memory_(cluster->calibration()),
-      total_batch_(total_batch),
       num_servers_(num_servers) {
   FELA_CHECK_GT(total_batch, 0.0);
   FELA_CHECK_GE(num_servers, 1);
@@ -31,23 +30,16 @@ PsDpEngine::PsDpEngine(runtime::Cluster* cluster, const model::Model& model,
 }
 
 void PsDpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
+  BeginIteration(iteration);
   compute_pending_ = cluster_->num_workers();
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
   const double compute_seconds =
       cost_.RangeSeconds(model_, 0, model_.layer_count() - 1, micro_batch_) *
       static_cast<double>(micro_steps_);
   for (int w = 0; w < cluster_->num_workers(); ++w) {
-    sim::GpuDevice& gpu = cluster_->gpu(w);
-    const double delay = cluster_->stragglers().DelayFor(iteration, w);
-    if (delay > 0.0) gpu.BlockUntil(cluster_->simulator().now() + delay);
+    SleepIfStraggler(w);
     const double slowdown = cluster_->stragglers().SlowdownFor(iteration, w);
-    gpu.Enqueue(compute_seconds * slowdown,
-                [this, w] { OnWorkerComputeDone(w); });
+    cluster_->gpu(w).Enqueue(compute_seconds * slowdown,
+                             [this, w] { OnWorkerComputeDone(w); });
   }
 }
 
@@ -58,7 +50,7 @@ void PsDpEngine::OnWorkerComputeDone(int worker) {
   // node 0 cannot collect its gradient shard).
   const sim::FaultSchedule& faults = cluster_->faults();
   if (faults.Active() &&
-      faults.AnyUnreachableDuring(iteration_start_,
+      faults.AnyUnreachableDuring(iteration_start(),
                                   cluster_->simulator().now(), worker,
                                   /*anchor=*/0)) {
     ++stats_.faults.crashes;
@@ -99,36 +91,10 @@ void PsDpEngine::OnPullDone() {
   if (spans.enabled() && now > sync_begin_) {
     for (int w = 0; w < cluster_->num_workers(); ++w) {
       spans.Emit(obs::Span{w, obs::Phase::kSyncWait, sync_begin_, now,
-                           current_iteration_, {}});
+                           current_iteration(), {}});
     }
   }
-  stats_.iterations.push_back(runtime::IterationStats{iteration_start_, now});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats PsDpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_ || stats_.stalled)
-      << "simulation drained before finishing";
-  if (iter_span_) {
-    iter_span_->Cancel();  // aborted iteration: no framing span
-    iter_span_.reset();
-  }
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
+  FinishIteration();
 }
 
 }  // namespace fela::baselines

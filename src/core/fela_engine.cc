@@ -20,7 +20,7 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
 FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
                        std::vector<model::SubModel> sub_models,
                        const FelaConfig& config, double total_batch)
-    : cluster_(cluster),
+    : Engine(cluster),
       model_(model),
       sub_models_(std::move(sub_models)),
       config_(config),
@@ -129,13 +129,13 @@ std::unique_ptr<TokenServer> FelaEngine::MakeTokenServer() {
 }
 
 void FelaEngine::OnWorkerCrash(int worker) {
-  if (run_complete_) return;
+  if (run_complete()) return;
   ++stats_.faults.crashes;
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), worker,
              sim::TraceKind::kWorkerCrash, FELA_TOK("it=%d"),
-             current_iteration_);
+             current_iteration());
   crash_spans_[static_cast<size_t>(worker)].emplace(
-      &cluster_->spans(), worker, obs::Phase::kCrashed, current_iteration_);
+      &cluster_->spans(), worker, obs::Phase::kCrashed, current_iteration());
   admitted_[static_cast<size_t>(worker)] = false;
   recover_pending_[static_cast<size_t>(worker)] = -1.0;
   // Kill the worker process first (voids its in-flight work), then let
@@ -154,11 +154,11 @@ void FelaEngine::OnWorkerCrash(int worker) {
 }
 
 void FelaEngine::OnWorkerRecover(int worker) {
-  if (run_complete_) return;
+  if (run_complete()) return;
   ++stats_.faults.recoveries;
   const sim::SimTime now = cluster_->simulator().now();
   FELA_TRACE(&cluster_->trace(), now, worker, sim::TraceKind::kWorkerRecover,
-             FELA_TOK("it=%d"), current_iteration_);
+             FELA_TOK("it=%d"), current_iteration());
   const size_t ws = static_cast<size_t>(ts_->ShardOfWorker(worker));
   if (!shard_active_[ws] && shard_failover_timer_[ws] == sim::kInvalidEventId) {
     // The worker's fenced shard found no live standby; this recovery
@@ -173,22 +173,22 @@ void FelaEngine::OnWorkerRecover(int worker) {
   // recovery that liveness depends on must not wait.
   if (NeedsImmediateReadmit(worker)) {
     ReAdmit(worker);
-    workers_[static_cast<size_t>(worker)].RequestWork(current_iteration_);
+    workers_[static_cast<size_t>(worker)].RequestWork(current_iteration());
   }
 }
 
 void FelaEngine::OnWorkerCut(int worker) {
-  if (run_complete_) return;
+  if (run_complete()) return;
   ++stats_.faults.partition_cuts;
   const size_t ws = static_cast<size_t>(ts_->ShardOfWorker(worker));
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), worker,
              sim::TraceKind::kPartitionCut, FELA_TOK("it=%d anchor=%d"),
-             current_iteration_, static_cast<int>(shard_host_[ws]));
+             current_iteration(), static_cast<int>(shard_host_[ws]));
   const size_t w = static_cast<size_t>(worker);
   if (admitted_[w]) {
     admitted_[w] = false;
     crash_spans_[w].emplace(&cluster_->spans(), worker, obs::Phase::kCrashed,
-                            current_iteration_);
+                            current_iteration());
   }
   recover_pending_[w] = -1.0;
   // The process is alive (no OnCrash): it keeps computing and retrying;
@@ -218,12 +218,12 @@ void FelaEngine::OnWorkerCut(int worker) {
 }
 
 void FelaEngine::OnWorkerHeal(int worker) {
-  if (run_complete_) return;
+  if (run_complete()) return;
   ++stats_.faults.partition_heals;
   const sim::SimTime now = cluster_->simulator().now();
   const size_t ws = static_cast<size_t>(ts_->ShardOfWorker(worker));
   FELA_TRACE(&cluster_->trace(), now, worker, sim::TraceKind::kPartitionHeal,
-             FELA_TOK("it=%d anchor=%d"), current_iteration_,
+             FELA_TOK("it=%d anchor=%d"), current_iteration(),
              static_cast<int>(shard_host_[ws]));
   if (monitor_->IsDown(worker)) return;  // still crashed; recover re-admits
   if (!shard_active_[ws] &&
@@ -236,7 +236,7 @@ void FelaEngine::OnWorkerHeal(int worker) {
   recover_pending_[static_cast<size_t>(worker)] = now;
   if (NeedsImmediateReadmit(worker)) {
     ReAdmit(worker);
-    workers_[static_cast<size_t>(worker)].RequestWork(current_iteration_);
+    workers_[static_cast<size_t>(worker)].RequestWork(current_iteration());
   }
 }
 
@@ -269,7 +269,7 @@ void FelaEngine::ReAdmit(int worker) {
 }
 
 void FelaEngine::TakeCheckpoint() {
-  if (run_complete_) return;
+  if (run_complete()) return;
   // Each active sub-distributor snapshots its lease table (its bucket
   // inventory is root-replicated and survives the host); fenced shards
   // keep their last pre-fence snapshot for the promotion.
@@ -290,7 +290,7 @@ bool FelaEngine::AnyShardActive() const {
 }
 
 void FelaEngine::ArmCheckpointTimer() {
-  if (!faults_active() || run_complete_ || !AnyShardActive()) return;
+  if (!faults_active() || run_complete() || !AnyShardActive()) return;
   if (checkpoint_timer_ != sim::kInvalidEventId) return;
   // Once the schedule has no transitions ahead, no future crash or cut
   // can consume a checkpoint — and an unconditionally re-arming timer
@@ -305,7 +305,7 @@ void FelaEngine::ArmCheckpointTimer() {
   checkpoint_timer_ = cluster_->simulator().Schedule(
       config_.ts_checkpoint_interval_sec, [this] {
         checkpoint_timer_ = sim::kInvalidEventId;
-        if (run_complete_ || !AnyShardActive()) return;
+        if (run_complete() || !AnyShardActive()) return;
         TakeCheckpoint();
         ArmCheckpointTimer();
       });
@@ -329,7 +329,7 @@ void FelaEngine::CancelFailoverTimers() {
 
 void FelaEngine::FenceShard(int shard) {
   const size_t s = static_cast<size_t>(shard);
-  if (!shard_active_[s] || run_complete_) return;
+  if (!shard_active_[s] || run_complete()) return;
   shard_active_[s] = false;
   // Live handoff: the shard's leases are reclaimed into its buckets
   // (root-held inventory) and its closed ledger is archived now; the
@@ -337,7 +337,7 @@ void FelaEngine::FenceShard(int shard) {
   ts_stats_archive_ += ts_->FenceShard(shard);
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), shard_host_[s],
              sim::TraceKind::kTsFailover, FELA_TOK("fence inc=%d it=%d"),
-             shard_inc_[s], current_iteration_);
+             shard_inc_[s], current_iteration());
   // fela-lint: allow(untraced-event): the promotion traces kTsFailover
   // itself when the timer fires.
   shard_failover_timer_[s] = cluster_->simulator().Schedule(
@@ -350,7 +350,7 @@ void FelaEngine::FenceShard(int shard) {
 
 void FelaEngine::CompleteShardFailover(int shard) {
   const size_t sidx = static_cast<size_t>(shard);
-  if (run_complete_ || shard_active_[sidx]) return;
+  if (run_complete() || shard_active_[sidx]) return;
   const sim::SimTime now = cluster_->simulator().now();
   const int n = cluster_->num_workers();
   const sim::FaultSchedule& faults = cluster_->faults();
@@ -386,7 +386,7 @@ void FelaEngine::CompleteShardFailover(int shard) {
   FELA_TRACE(&cluster_->trace(), now, shard_host_[sidx],
              sim::TraceKind::kTsFailover,
              FELA_TOK("promote inc=%d it=%d reach=%d"), shard_inc_[sidx],
-             current_iteration_, best_score);
+             current_iteration(), best_score);
   std::vector<bool> down_now(static_cast<size_t>(n), false);
   for (int w = 0; w < n; ++w) {
     down_now[static_cast<size_t>(w)] =
@@ -430,17 +430,12 @@ void FelaEngine::DeliverGrant(sim::NodeId worker, const Grant& grant) {
 }
 
 void FelaEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
+  BeginIteration(iteration,
+                 common::TokenizedDetail(FELA_TOK("it=%d"), iteration));
   syncs_done_ = 0;
   tokens_done_ = false;
-  FELA_TRACE(&cluster_->trace(), iteration_start_, shard_host_[0],
+  FELA_TRACE(&cluster_->trace(), iteration_start(), shard_host_[0],
              sim::TraceKind::kIterationStart, FELA_TOK("it=%d"), iteration);
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration,
-                       common::TokenizedDetail(FELA_TOK("it=%d"), iteration));
-  }
   // Elastic scale-out: workers that recovered (or healed) during the
   // previous iteration rejoin at this boundary.
   for (int w = 0; w < cluster_->num_workers(); ++w) {
@@ -510,24 +505,18 @@ void FelaEngine::OnAllLevelsComplete() {
 
 void FelaEngine::MaybeFinishIteration() {
   if (!tokens_done_ || syncs_done_ != plan_.num_levels()) return;
-  const sim::SimTime now = cluster_->simulator().now();
-  stats_.iterations.push_back(runtime::IterationStats{iteration_start_, now});
-  FELA_TRACE(&cluster_->trace(), now, shard_host_[0],
+  FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), shard_host_[0],
              sim::TraceKind::kIterationEnd, FELA_TOK("it=%d"),
-             current_iteration_);
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-    // Teardown: cancel every fault-tolerance timer so no dangling event
-    // keeps the queue alive or inflates total_time.
-    if (monitor_) monitor_->Stop();
-    CancelCheckpointTimer();
-    CancelFailoverTimers();
-    ts_->CancelAllLeases();
-    for (auto& w : workers_) w.Quiesce();
-  }
+             current_iteration());
+  FinishIteration();
+  if (!run_complete()) return;
+  // Teardown: cancel every fault-tolerance timer so no dangling event
+  // keeps the queue alive or inflates total_time.
+  if (monitor_) monitor_->Stop();
+  CancelCheckpointTimer();
+  CancelFailoverTimers();
+  ts_->CancelAllLeases();
+  for (auto& w : workers_) w.Quiesce();
 }
 
 TokenServer::Stats FelaEngine::CumulativeTsStats() const {
@@ -561,30 +550,14 @@ std::vector<std::string> FelaEngine::CheckFailoverInvariants() const {
   return out;
 }
 
-runtime::RunStats FelaEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty()) << "Run() may be called once";
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-
+void FelaEngine::OnRunStart() {
   if (monitor_) {
     monitor_->Start();
     ArmCheckpointTimer();
   }
-  StartIteration(0);
-  cluster_->simulator().Run();
-  if (!run_complete_) {
-    // Only a fault scenario may leave work undone (e.g. every worker
-    // fail-stopped and none came back); a fault-free drain is a bug.
-    FELA_CHECK(faults_active()) << "simulation drained before finishing";
-    stats_.stalled = true;
-    if (iter_span_) {
-      // The iteration never finished; an open-ended framing span would
-      // claim the stall window as productive time.
-      iter_span_->Cancel();
-      iter_span_.reset();
-    }
-  }
+}
+
+void FelaEngine::OnRunEnd() {
   // Workers still excluded at run end stay "crashed" to the final clock.
   for (auto& cs : crash_spans_) cs.reset();
 
@@ -597,7 +570,7 @@ runtime::RunStats FelaEngine::Run(int iterations) {
     for (const auto& w : workers_) samples += w.samples_trained();
     const double expected = plan_.total_batch *
                             static_cast<double>(plan_.num_levels()) *
-                            static_cast<double>(iterations);
+                            static_cast<double>(stats_.iterations.size());
     if (faults_active()) {
       FELA_CHECK_GE(samples, expected - 1e-6 * expected)
           << samples << " vs " << expected;
@@ -607,10 +580,6 @@ runtime::RunStats FelaEngine::Run(int iterations) {
     }
   }
 
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
   stats_.faults.control_dropped = cluster_->fabric().control_dropped_count();
   stats_.faults.control_duplicated =
       cluster_->fabric().control_duplicated_count();
@@ -662,7 +631,6 @@ runtime::RunStats FelaEngine::Run(int iterations) {
           .Set(static_cast<double>(w.tokens_trained()));
     }
   }
-  return stats_;
 }
 
 }  // namespace fela::core

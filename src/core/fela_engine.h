@@ -58,7 +58,6 @@ class FelaEngine : public runtime::Engine {
              double total_batch);
 
   std::string name() const override { return "Fela"; }
-  runtime::RunStats Run(int iterations) override;
 
   const FelaPlan& plan() const { return plan_; }
   const FelaConfig& config() const { return config_; }
@@ -73,6 +72,10 @@ class FelaEngine : public runtime::Engine {
   /// each shard's ledger belongs to its current incarnation; fenced
   /// incarnations are folded into CumulativeTsStats().
   const TokenServer& token_server() const { return *ts_; }
+  /// Arms the Token Server's mutation canaries; tests only, before Run().
+  void set_canaries_for_testing(const TokenServer::Canaries& canaries) {
+    ts_->set_canaries_for_testing(canaries);
+  }
   const FelaWorker& worker(int i) const {
     return workers_[static_cast<size_t>(i)];
   }
@@ -104,7 +107,14 @@ class FelaEngine : public runtime::Engine {
   std::vector<std::string> CheckFailoverInvariants() const;
 
  private:
-  void StartIteration(int iteration);
+  void OnRunStart() override;  // starts the fault monitor and checkpoints
+  /// Closes the crash spans still open, cross-checks the trained sample
+  /// count, and folds the ledgers into the run's faults and metrics.
+  void OnRunEnd() override;
+  /// Only a fault scenario may leave work undone (e.g. every worker
+  /// fail-stopped and none came back); a fault-free drain is a bug.
+  bool MayStallOnDrain() const override { return faults_active(); }
+  void StartIteration(int iteration) override;
   void DeliverGrant(sim::NodeId worker, const Grant& grant);
   void OnLevelComplete(int level);
   void OnSyncDone(int level);
@@ -148,7 +158,6 @@ class FelaEngine : public runtime::Engine {
   bool AnyShardActive() const;
   bool faults_active() const { return cluster_->faults().Active(); }
 
-  runtime::Cluster* cluster_;
   model::Model model_;
   std::vector<model::SubModel> sub_models_;
   FelaConfig config_;
@@ -196,16 +205,9 @@ class FelaEngine : public runtime::Engine {
   TokenServer::Stats ts_stats_archive_;
   sim::EventId checkpoint_timer_ = sim::kInvalidEventId;
 
-  int target_iterations_ = 0;
-  int current_iteration_ = 0;
-  sim::SimTime iteration_start_ = 0.0;
   int syncs_done_ = 0;
   bool tokens_done_ = false;
-  bool run_complete_ = false;
-  runtime::RunStats stats_;
 
-  /// Framing span for the running iteration on the token-server track.
-  std::optional<obs::ScopedSpan> iter_span_;
   /// Open kCrashed span per worker while it is excluded (crash -> the
   /// re-admission boundary, or run end if it never comes back).
   std::vector<std::optional<obs::ScopedSpan>> crash_spans_;

@@ -8,37 +8,6 @@
 
 namespace fela::core {
 
-namespace {
-
-// Mutation-canary state (see SetTokenServerMutationForTesting). Process
-// globals, not members: the canary must survive engine construction so a
-// test can arm it before the run it wants to poison.
-bool g_mutation_enabled = false;
-uint64_t g_mutation_report_count = 0;
-
-// Sharding mutation canary (see SetShardDonationMutationForTesting): the
-// root skips the donor-side availability decrement for donated tokens, so
-// its books double-count them and the shard-conservation audit must bite.
-// fela-lint: allow(sweep-shared-state): test-only fault-injection knob,
-// armed once before a run on the same thread that reads it; never
-// mutated while a sweep is in flight.
-bool g_shard_mutation_enabled = false;
-
-}  // namespace
-
-void SetTokenServerMutationForTesting(bool enabled) {
-  g_mutation_enabled = enabled;
-  g_mutation_report_count = 0;
-}
-
-bool TokenServerMutationForTesting() { return g_mutation_enabled; }
-
-void SetShardDonationMutationForTesting(bool enabled) {
-  g_shard_mutation_enabled = enabled;
-}
-
-bool ShardDonationMutationForTesting() { return g_shard_mutation_enabled; }
-
 TokenServer::Stats& TokenServer::Stats::operator+=(const Stats& other) {
   grants += other.grants;
   steals += other.steals;
@@ -595,7 +564,7 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
                                                use_locality);
     if (token.has_value()) {
       ++shard_stats_[static_cast<size_t>(donor)].donations;
-      if (!g_shard_mutation_enabled) NoteBucketTake(donor, token->level);
+      if (!canaries_.skip_donor_decrement) NoteBucketTake(donor, token->level);
     }
     return token;
   }
@@ -638,7 +607,7 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
                                                         use_locality);
             if (token.has_value()) {
               ++shard_stats_[static_cast<size_t>(donor)].donations;
-              if (!g_shard_mutation_enabled) {
+              if (!canaries_.skip_donor_decrement) {
                 NoteBucketTake(donor, token->level);
               }
             }
@@ -692,7 +661,7 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
                                               use_locality);
   if (token.has_value()) {
     ++shard_stats_[static_cast<size_t>(donor)].donations;
-    if (!g_shard_mutation_enabled) NoteBucketTake(donor, token->level);
+    if (!canaries_.skip_donor_decrement) NoteBucketTake(donor, token->level);
     // The helper re-points at its remote victim; helper bookkeeping is
     // cluster-global so cross-shard assists count like local ones.
     const sim::NodeId prev = helping_[static_cast<size_t>(worker)];
@@ -1024,7 +993,7 @@ void TokenServer::HandleReport(sim::NodeId worker, const Token& token) {
   }
   // Mutation canary: while armed, every 7th accepted completion is
   // leaked from the ledger — behavior is untouched, the accounting lies.
-  if (!g_mutation_enabled || ++g_mutation_report_count % 7 != 0) {
+  if (!canaries_.leak_completions || ++canary_completions_ % 7 != 0) {
     ++st.completions;
   }
   info_.RecordCompleted(token.id, worker);

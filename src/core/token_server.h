@@ -173,6 +173,20 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// schedule no extra events and stay bit-identical to older traces.
   void set_leases_enabled(bool enabled) { leases_enabled_ = enabled; }
 
+  /// Test-only mutation canaries: each makes the server's books lie while
+  /// its behavior stays untouched, so a test can prove an oracle bites.
+  struct Canaries {
+    /// Leak every 7th completion this server accepts from the ledger (the
+    /// conservation oracle must bite).
+    bool leak_completions = false;
+    /// Keep counting a donated token in the donor's availability cache
+    /// (the shard-conservation audit must bite).
+    bool skip_donor_decrement = false;
+  };
+  void set_canaries_for_testing(const Canaries& canaries) {
+    canaries_ = canaries;
+  }
+
   /// Marks a worker crashed (down=true) or recovered (down=false). A
   /// crashed worker is dropped from the wait queue, its live lease (if
   /// any) is reclaimed immediately, and it receives no grants until it
@@ -373,6 +387,8 @@ class FELA_THREAD_HOSTILE TokenServer {
   std::vector<TokenId> outstanding_;  // live grant per worker, or invalid
   std::vector<bool> down_;
   bool leases_enabled_ = false;
+  Canaries canaries_;
+  uint64_t canary_completions_ = 0;  // accepted while leak_completions
   /// Shard was restored under a successor incarnation. Its buckets keep
   /// tokens whose reclaim a *previous* incarnation counted (attempt > 0
   /// survives the fence), so CheckInvariants relaxes regrants <=
@@ -408,23 +424,6 @@ class FELA_THREAD_HOSTILE TokenServer {
   bool all_done_announced_ = false;
   std::vector<Stats> shard_stats_;
 };
-
-/// Test-only mutation switch: while enabled, HandleReport silently drops
-/// every 7th accepted completion from the stats ledger (behavior is
-/// untouched — only the accounting lies). This is the mutation canary the
-/// fuzzer tests use to prove the conservation oracle actually bites; it
-/// must never be enabled outside a test, and enabling resets the internal
-/// report counter so canary runs are reproducible.
-void SetTokenServerMutationForTesting(bool enabled);
-bool TokenServerMutationForTesting();
-
-/// Test-only mutation switch for the sharding oracle: while enabled, the
-/// root double-counts every donated token — the donor's availability
-/// cache keeps counting a token that moved to the thief's shard. Behavior
-/// is untouched (the token really moves); only the root's books lie, so
-/// the shard-conservation audit (cache vs bucket recount) must bite.
-void SetShardDonationMutationForTesting(bool enabled);
-bool ShardDonationMutationForTesting();
 
 }  // namespace fela::core
 

@@ -1,10 +1,13 @@
 #ifndef FELA_RUNTIME_ENGINE_H_
 #define FELA_RUNTIME_ENGINE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/tokenize.h"
 #include "runtime/cluster.h"
+#include "sim/span.h"
 #include "sim/types.h"
 
 namespace fela::runtime {
@@ -76,9 +79,15 @@ struct RunStats {
   double EffectiveThroughput(double total_batch) const;
 };
 
-/// A distributed-training engine (Fela or one of the baselines) executing
-/// on a Cluster. Engines schedule their whole protocol onto the cluster's
-/// simulator; Run() drives it to completion and reports statistics.
+/// A distributed-training engine (Fela or one of the baselines) on a
+/// Cluster, and the one BSP iteration driver they share. Run() owns the
+/// run-once rule, the drain rule and the run totals; BeginIteration() and
+/// FinishIteration() own the iteration framing (start time, the
+/// kIteration span on track `num_workers`, the IterationStats record, the
+/// next iteration or the end of the run). An engine schedules its
+/// protocol onto the simulator in StartIteration(), calling
+/// BeginIteration() first, and calls FinishIteration() from the event
+/// that ends the iteration.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -87,7 +96,46 @@ class Engine {
 
   /// Runs `iterations` BSP iterations and returns timing statistics.
   /// May be called once per engine instance.
-  virtual RunStats Run(int iterations) = 0;
+  RunStats Run(int iterations);
+
+ protected:
+  explicit Engine(Cluster* cluster) : cluster_(cluster) {}
+
+  /// Schedules iteration `iteration`; calls BeginIteration() first.
+  virtual void StartIteration(int iteration) = 0;
+  /// Called by Run() after the fabric statistics reset, before iteration 0.
+  virtual void OnRunStart() {}
+  /// Called by Run() after the simulator drained and the totals are in.
+  virtual void OnRunEnd() {}
+  /// True when the run may drain unfinished without the engine having
+  /// declared `stats_.stalled` itself; otherwise such a drain is a bug.
+  virtual bool MayStallOnDrain() const { return false; }
+
+  /// Opens iteration `iteration`: records its start time and opens its
+  /// framing span, labelled with `detail`.
+  void BeginIteration(int iteration, common::TokenizedDetail detail = {});
+  /// Closes the running iteration: records its IterationStats and emits
+  /// its framing span, then starts the next iteration or completes the
+  /// run.
+  void FinishIteration();
+  /// Blocks `worker`'s GPU for its straggler sleep in the running
+  /// iteration, if it has one (the paper injects sleep before compute).
+  void SleepIfStraggler(int worker);
+
+  int current_iteration() const { return current_iteration_; }
+  sim::SimTime iteration_start() const { return iteration_start_; }
+  bool run_complete() const { return run_complete_; }
+
+  Cluster* const cluster_;
+  RunStats stats_;
+
+ private:
+  int target_iterations_ = 0;
+  int current_iteration_ = 0;
+  sim::SimTime iteration_start_ = 0.0;
+  bool run_complete_ = false;
+  /// Iteration framing span on the driver track (= num_workers).
+  std::optional<obs::ScopedSpan> iter_span_;
 };
 
 /// Per-iteration delay (PID) per the paper's Eq. 4: the extra seconds per

@@ -89,8 +89,8 @@ ScriptedCrashes::ScriptedCrashes(std::vector<CrashEvent> events)
     : events_(std::move(events)) {
   for (const CrashEvent& e : events_) {
     FELA_CHECK_GE(e.worker, 0);
-    FELA_CHECK_GE(e.crash_time, 0.0);
-    FELA_CHECK_GT(e.recover_time, e.crash_time);
+    FELA_CHECK(IsWindow(e.crash_time, e.recover_time))
+        << e.crash_time << " .. " << e.recover_time;
   }
 }
 
@@ -152,9 +152,9 @@ RandomCrashes::RandomCrashes(int num_workers, double crash_prob,
       seed_(seed),
       first_worker_(first_worker) {
   FELA_CHECK_GT(num_workers, 0);
-  FELA_CHECK(crash_prob >= 0.0 && crash_prob <= 1.0) << crash_prob;
-  FELA_CHECK_GT(window_sec, 0.0);
-  FELA_CHECK_GT(down_sec, 0.0);
+  FELA_CHECK(IsProbability(crash_prob)) << crash_prob;
+  FELA_CHECK(IsDuration(window_sec)) << window_sec;
+  FELA_CHECK(IsDuration(down_sec)) << down_sec;
   FELA_CHECK(first_worker >= 0 && first_worker < num_workers) << first_worker;
 }
 
@@ -221,8 +221,8 @@ std::string RandomCrashes::ToString() const {
 LossyControlPlane::LossyControlPlane(double drop_prob, double dup_prob,
                                      uint64_t seed)
     : drop_prob_(drop_prob), dup_prob_(dup_prob), seed_(seed) {
-  FELA_CHECK(drop_prob >= 0.0 && drop_prob < 1.0) << drop_prob;
-  FELA_CHECK(dup_prob >= 0.0 && dup_prob <= 1.0) << dup_prob;
+  FELA_CHECK(IsDropProbability(drop_prob)) << drop_prob;
+  FELA_CHECK(IsProbability(dup_prob)) << dup_prob;
 }
 
 bool LossyControlPlane::DropControl(uint64_t seq) const {
@@ -243,8 +243,7 @@ std::string LossyControlPlane::ToString() const {
 NetworkPartition::NetworkPartition(std::vector<PartitionEvent> events)
     : events_(std::move(events)) {
   for (PartitionEvent& e : events_) {
-    FELA_CHECK_GE(e.start, 0.0);
-    FELA_CHECK_GT(e.end, e.start);
+    FELA_CHECK(IsWindow(e.start, e.end)) << e.start << " .. " << e.end;
     std::sort(e.side_a.begin(), e.side_a.end());
     for (int w : e.side_a) FELA_CHECK_GE(w, 0);
   }
@@ -304,9 +303,8 @@ GrayFailures::GrayFailures(std::vector<GrayEvent> events)
     : events_(std::move(events)) {
   for (const GrayEvent& e : events_) {
     FELA_CHECK_GE(e.worker, 0);
-    FELA_CHECK_GE(e.start, 0.0);
-    FELA_CHECK_GT(e.end, e.start);
-    FELA_CHECK_GE(e.delay_factor, 1.0);
+    FELA_CHECK(IsWindow(e.start, e.end)) << e.start << " .. " << e.end;
+    FELA_CHECK(IsSlowdown(e.delay_factor)) << e.delay_factor;
   }
 }
 

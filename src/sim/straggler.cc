@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "sim/types.h"
 
 namespace fela::sim {
 
@@ -23,7 +24,7 @@ double MixToUnitDouble(uint64_t x) {
 RoundRobinStragglers::RoundRobinStragglers(int num_workers, double delay_sec)
     : num_workers_(num_workers), delay_sec_(delay_sec) {
   FELA_CHECK_GT(num_workers, 0);
-  FELA_CHECK_GE(delay_sec, 0.0);
+  FELA_CHECK(IsDelay(delay_sec)) << delay_sec;
 }
 
 double RoundRobinStragglers::DelayFor(int iteration, int worker) const {
@@ -37,8 +38,8 @@ std::string RoundRobinStragglers::ToString() const {
 ProbabilityStragglers::ProbabilityStragglers(double probability,
                                              double delay_sec, uint64_t seed)
     : probability_(probability), delay_sec_(delay_sec), seed_(seed) {
-  FELA_CHECK(probability >= 0.0 && probability <= 1.0) << probability;
-  FELA_CHECK_GE(delay_sec, 0.0);
+  FELA_CHECK(IsProbability(probability)) << probability;
+  FELA_CHECK(IsDelay(delay_sec)) << delay_sec;
 }
 
 double ProbabilityStragglers::DelayFor(int iteration, int worker) const {
@@ -55,7 +56,7 @@ std::string ProbabilityStragglers::ToString() const {
 HeterogeneousWorker::HeterogeneousWorker(int victim, double slowdown)
     : victim_(victim), slowdown_(slowdown) {
   FELA_CHECK_GE(victim, 0);
-  FELA_CHECK_GE(slowdown, 1.0);
+  FELA_CHECK(IsSlowdown(slowdown)) << slowdown;
 }
 
 double HeterogeneousWorker::SlowdownFor(int, int worker) const {
@@ -70,7 +71,7 @@ std::string HeterogeneousWorker::ToString() const {
 PersistentStraggler::PersistentStraggler(int victim, double delay_sec)
     : victim_(victim), delay_sec_(delay_sec) {
   FELA_CHECK_GE(victim, 0);
-  FELA_CHECK_GE(delay_sec, 0.0);
+  FELA_CHECK(IsDelay(delay_sec)) << delay_sec;
 }
 
 double PersistentStraggler::DelayFor(int, int worker) const {
@@ -88,6 +89,7 @@ TransientStragglers::TransientStragglers(int num_workers, double delay_sec,
       burst_iterations_(burst_iterations),
       seed_(seed) {
   FELA_CHECK_GT(num_workers, 0);
+  FELA_CHECK(IsDelay(delay_sec)) << delay_sec;
   FELA_CHECK_GT(burst_iterations, 0);
 }
 

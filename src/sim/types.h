@@ -29,6 +29,21 @@ constexpr bool IsNever(SimTime t) {
 /// -Wfloat-equal rejects in the simulation libraries.
 constexpr bool TimeEq(SimTime a, SimTime b) { return !(a < b) && !(b < a); }
 
+/// Parameter ranges of the straggler and fault schedules, one definition
+/// each: their constructors FELA_CHECK these and fuzz repro readers
+/// reject a field outside them, so the two cannot drift. NaN is in none.
+/// A drop probability stops short of 1, which would lose every message;
+/// a duration may be kNeverTime (forever).
+constexpr bool IsProbability(double p) { return p >= 0.0 && p <= 1.0; }
+constexpr bool IsDropProbability(double p) { return p >= 0.0 && p < 1.0; }
+constexpr bool IsDelay(double sec) { return sec >= 0.0; }
+constexpr bool IsDuration(double sec) { return sec > 0.0; }
+constexpr bool IsSlowdown(double factor) { return factor >= 1.0; }
+/// A scripted [start, end) window: starts at or after 0, ends after it.
+constexpr bool IsWindow(SimTime start, SimTime end) {
+  return start >= 0.0 && end > start;
+}
+
 /// Cluster node index, 0-based. Workers are nodes; the token server is
 /// co-located with node 0 (the paper notes TS is not compute-intensive).
 using NodeId = int;

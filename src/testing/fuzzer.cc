@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "core/token_server.h"
+#include "core/fela_engine.h"
 #include "runtime/determinism.h"
 #include "sim/faults.h"
 
@@ -14,10 +14,12 @@ namespace fela::testing {
 
 namespace {
 
-/// Runs the spec's experiment with a given fault factory, feeding the
-/// oracle battery's Probe window when one is supplied.
+/// Runs the spec's experiment with a given fault factory and the
+/// options' canaries, feeding the oracle battery's Probe window when one
+/// is supplied.
 runtime::ExperimentResult RunProbed(
     const FuzzSpec& spec, const runtime::FaultFactory& faults,
+    const FuzzOptions& options,
     std::vector<std::unique_ptr<InvariantOracle>>* oracles) {
   runtime::ExperimentSpec espec = ToExperimentSpec(spec);
   if (oracles != nullptr) {
@@ -26,8 +28,16 @@ runtime::ExperimentResult RunProbed(
       for (auto& o : *oracles) o->Probe(spec, engine, cluster);
     };
   }
-  return runtime::RunExperiment(espec, MakeEngineFactory(spec),
-                                MakeStragglerFactory(spec), faults);
+  auto armed = [make = MakeEngineFactory(spec), &options](
+                   runtime::Cluster& cluster, double batch) {
+    std::unique_ptr<runtime::Engine> engine = make(cluster, batch);
+    if (auto* fela = dynamic_cast<core::FelaEngine*>(engine.get())) {
+      fela->set_canaries_for_testing(options.canaries);
+    }
+    return engine;
+  };
+  return runtime::RunExperiment(espec, armed, MakeStragglerFactory(spec),
+                                faults);
 }
 
 /// A fault schedule that is Active() yet injects nothing: an empty
@@ -44,17 +54,10 @@ runtime::FaultFactory InertFaultFactory() {
 }  // namespace
 
 FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
-  // Under the mutation canary the leak pattern depends on a process-wide
-  // report counter; restart it so "does this spec trip the oracle" is a
-  // deterministic property of the spec, not of whatever ran before.
-  if (core::TokenServerMutationForTesting()) {
-    core::SetTokenServerMutationForTesting(true);
-  }
-
   FuzzCaseResult out;
   out.spec = spec;
   std::vector<std::unique_ptr<InvariantOracle>> oracles = DefaultOracles();
-  out.result = RunProbed(spec, MakeFaultFactory(spec), &oracles);
+  out.result = RunProbed(spec, MakeFaultFactory(spec), options, &oracles);
   for (auto& oracle : oracles) {
     oracle->Check(spec, out.result);
     for (const Violation& v : oracle->violations()) {
@@ -72,7 +75,7 @@ FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
   // gains benign retry messages and equivalence is not a theorem.
   if (spec.fault == FaultKind::kNone && spec.rack_size == 0) {
     const runtime::ExperimentResult twin =
-        RunProbed(spec, InertFaultFactory(), nullptr);
+        RunProbed(spec, InertFaultFactory(), options, nullptr);
     const runtime::DeterminismReport diff = runtime::DiffTranscripts(
         runtime::DeterminismTranscript(out.result),
         runtime::DeterminismTranscript(twin));
@@ -98,7 +101,7 @@ FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
     slowed.straggler_victim = spec.num_workers - 1;
     slowed.straggler_delay_sec = 1.0;
     const runtime::ExperimentResult twin =
-        RunProbed(slowed, MakeFaultFactory(slowed), nullptr);
+        RunProbed(slowed, MakeFaultFactory(slowed), options, nullptr);
     if (twin.stats.total_time + 1e-9 < out.result.stats.total_time) {
       out.violations.push_back(Violation{
           kStragglerMonotoneOracle,
@@ -140,11 +143,13 @@ FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
     FuzzSpec dp_clean = clean;
     dp_clean.engine = EngineKind::kDp;
     const double fela_clean =
-        RunProbed(clean, MakeFaultFactory(clean), nullptr).average_throughput;
+        RunProbed(clean, MakeFaultFactory(clean), options, nullptr)
+            .average_throughput;
     const double dp_faulted =
-        RunProbed(dp, MakeFaultFactory(dp), nullptr).average_throughput;
+        RunProbed(dp, MakeFaultFactory(dp), options, nullptr)
+            .average_throughput;
     const double dp_base =
-        RunProbed(dp_clean, MakeFaultFactory(dp_clean), nullptr)
+        RunProbed(dp_clean, MakeFaultFactory(dp_clean), options, nullptr)
             .average_throughput;
     const double fela_retention =
         fela_clean > 0.0 ? out.result.average_throughput / fela_clean : 1.0;
@@ -161,10 +166,6 @@ FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
   }
 
   return out;
-}
-
-FuzzCaseResult RunFuzzCase(const FuzzSpec& spec) {
-  return RunFuzzCase(spec, FuzzOptions{});
 }
 
 std::string CaseSummaryLine(uint64_t index, const FuzzCaseResult& result) {
@@ -248,12 +249,13 @@ std::vector<FuzzSpec> ShrinkCandidates(const FuzzSpec& s) {
 
 }  // namespace
 
-ShrinkResult Shrink(const FuzzSpec& failing, int max_attempts) {
+ShrinkResult Shrink(const FuzzSpec& failing, const FuzzOptions& options,
+                    int max_attempts) {
   ShrinkResult out;
   out.spec = failing;
 
   // Re-run the original to learn which oracles define "still failing".
-  const FuzzCaseResult original = RunFuzzCase(failing, FuzzOptions{});
+  const FuzzCaseResult original = RunFuzzCase(failing, options);
   ++out.attempts;
   out.violations = original.violations;
   std::set<std::string> targets;
@@ -261,7 +263,7 @@ ShrinkResult Shrink(const FuzzSpec& failing, int max_attempts) {
   if (targets.empty()) return out;  // nothing to chase
 
   // Metamorphic twins only cost extra runs if the failure needs them.
-  FuzzOptions opts;
+  FuzzOptions opts = options;
   opts.metamorphic = targets.count(kInertFaultOracle) > 0 ||
                      targets.count(kStragglerMonotoneOracle) > 0 ||
                      targets.count(kFelaDominanceOracle) > 0;

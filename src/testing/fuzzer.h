@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/token_server.h"
 #include "runtime/experiment.h"
 #include "testing/oracle.h"
 #include "testing/spec_gen.h"
@@ -22,6 +23,9 @@ struct FuzzOptions {
   /// case). The shrinker disables them when the violation being chased
   /// came from a plain invariant oracle.
   bool metamorphic = true;
+  /// Mutation canaries armed on the Token Server of every Fela run of
+  /// the case, twins included; each run's server counts from zero.
+  core::TokenServer::Canaries canaries;
 };
 
 /// Outcome of one fuzz case: the primary run plus everything every
@@ -44,11 +48,10 @@ struct FuzzCaseResult {
 ///    get *faster* when a persistent straggler is added; a Fela case
 ///    under a crashy straggler composition must retain at least as much
 ///    of its clean throughput as DP retains of its own.
-/// Deterministic per spec, and safe to call from sweep threads (no
-/// shared mutable state) — except under the mutation canary, which is
-/// process-global and therefore serial-only.
-FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options);
-FuzzCaseResult RunFuzzCase(const FuzzSpec& spec);
+/// Deterministic per (spec, options), and safe to call from sweep threads
+/// (no shared mutable state).
+FuzzCaseResult RunFuzzCase(const FuzzSpec& spec,
+                           const FuzzOptions& options = {});
 
 /// Stable one-line render of a case outcome (what fela-fuzz prints);
 /// byte-identical for a given (index, spec) regardless of --jobs.
@@ -58,15 +61,17 @@ std::string CaseSummaryLine(uint64_t index, const FuzzCaseResult& result);
 /// tries simplifications (drop faults, drop stragglers, halve
 /// iterations, halve the cluster, halve the batch, uniform weights) and
 /// keeps each one that still trips at least one of the *original*
-/// oracles, looping until no simplification survives. The result is the
-/// replayable repro fela-fuzz writes as JSON.
+/// oracles, looping until no simplification survives. Every run uses
+/// `options`' canaries. The result is the replayable repro fela-fuzz
+/// writes as JSON.
 struct ShrinkResult {
   FuzzSpec spec;                      // minimized failing spec
   std::vector<Violation> violations;  // what the minimized spec trips
   int attempts = 0;                   // candidate runs executed
   int reductions = 0;                 // candidates accepted
 };
-ShrinkResult Shrink(const FuzzSpec& failing, int max_attempts = 100);
+ShrinkResult Shrink(const FuzzSpec& failing, const FuzzOptions& options = {},
+                    int max_attempts = 100);
 
 }  // namespace fela::testing
 

@@ -661,6 +661,36 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
   }
   if (!ReadSeed(json, "fault_seed", &spec.fault_seed, error)) return false;
 
+  // The ranges the straggler and fault schedules' constructors check,
+  // whatever kinds the spec selects; window ends are computed as
+  // MakeFaultFactory computes them.
+  const struct { const char* fields; bool ok; } ranges[] = {
+      {"straggler_delay_sec", sim::IsDelay(spec.straggler_delay_sec)},
+      {"straggler_probability",
+       sim::IsProbability(spec.straggler_probability)},
+      {"straggler_slowdown", sim::IsSlowdown(spec.straggler_slowdown)},
+      {"crash_time_sec, recover_time_sec",
+       sim::IsWindow(spec.crash_time_sec, spec.recover_time_sec)},
+      {"crash_prob", sim::IsProbability(spec.crash_prob)},
+      {"crash_window_sec", sim::IsDuration(spec.crash_window_sec)},
+      {"crash_down_sec", sim::IsDuration(spec.crash_down_sec)},
+      {"drop_prob", sim::IsDropProbability(spec.drop_prob)},
+      {"dup_prob", sim::IsProbability(spec.dup_prob)},
+      {"partition_start_sec, partition_dur_sec",
+       sim::IsWindow(spec.partition_start_sec,
+                     spec.partition_start_sec + spec.partition_dur_sec)},
+      {"gray_start_sec, gray_dur_sec",
+       sim::IsWindow(spec.gray_start_sec,
+                     spec.gray_start_sec + spec.gray_dur_sec)},
+      {"gray_factor", sim::IsSlowdown(spec.gray_factor)},
+  };
+  for (const auto& r : ranges) {
+    if (!r.ok) {
+      *error = common::StrFormat("field(s) %s out of range", r.fields);
+      return false;
+    }
+  }
+
   const common::Json* weights = json.Find("fela_weights");
   if (weights == nullptr || !weights->is_array()) {
     *error = "missing or non-array field 'fela_weights'";

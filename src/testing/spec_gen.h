@@ -151,8 +151,9 @@ common::Json SpecToJson(const FuzzSpec& spec);
 /// Rejects, with a message in `error`, a document an engine could not
 /// run: a missing field, an integer field that is not an exact `int`,
 /// fewer than two or more than sim::kMaxInputWorkers workers, fewer than
-/// one iteration, a worker index outside the cluster, or (for Fela) a
-/// configuration ValidateConfig refuses.
+/// one iteration, a worker index outside the cluster, a schedule field
+/// outside its sim/types.h range (whatever kind the spec selects), or
+/// (for Fela) a configuration ValidateConfig refuses.
 bool SpecFromJson(const common::Json& json, FuzzSpec* out, std::string* error);
 
 }  // namespace fela::testing

@@ -9,6 +9,12 @@
 // round-robin stragglers, and a heterogeneous worker (which drives
 // SlowdownFor and ElasticMP's re-partitioning) at a total batch of 510,
 // which leaves a 2-sample remainder micro-batch behind 127 full ones.
+// A fail-stop scenario, captured before the engines shared one iteration
+// driver, pins that driver's drain paths: worker 5 dies for good during
+// the second iteration, so DP and PS-DP stall with their framing span
+// cancelled while MP, HP and ElasticMP (which model no crashes) finish.
+// A last case pins Fela's drain: every worker fail-stops at that instant
+// and the run stalls after one iteration.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +23,16 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/fela_config.h"
 #include "model/zoo.h"
 #include "runtime/determinism.h"
 #include "runtime/experiment.h"
+#include "sim/faults.h"
 #include "sim/straggler.h"
+#include "sim/types.h"
 #include "suite/suite.h"
 
 namespace fela::runtime {
@@ -31,6 +42,7 @@ enum class Scenario {
   kVgg19RoundRobin,
   kGoogLeNetRoundRobin,
   kHeteroRemainder,
+  kFailStop,
 };
 enum class Baseline { kDp, kPsDp, kMp, kHp, kElasticMp };
 
@@ -72,6 +84,16 @@ constexpr Golden kGoldens[] = {
      0xeffb8e8386ed1679ull, 0x63c12d187b252200ull},
     {Scenario::kHeteroRemainder, Baseline::kElasticMp,
      0x8aaac115811ce50dull, 0x3f8e50cf09bc19c6ull},
+    {Scenario::kFailStop, Baseline::kDp,
+     0xb5771accb2ed5d8aull, 0x96f88e5c4e2e7c24ull},
+    {Scenario::kFailStop, Baseline::kPsDp,
+     0xf1a2f10a616c05e7ull, 0xa5a483858676ce9full},
+    {Scenario::kFailStop, Baseline::kMp,
+     0x4c3e000a8aab3bfdull, 0xc8c37c45bc121777ull},
+    {Scenario::kFailStop, Baseline::kHp,
+     0xe409cc5db2427fa4ull, 0x9def0f99208be2e4ull},
+    {Scenario::kFailStop, Baseline::kElasticMp,
+     0x40b37c167a51f8d3ull, 0x504cc836b560cfeeull},
 };
 
 std::string ScenarioName(Scenario s) {
@@ -79,6 +101,7 @@ std::string ScenarioName(Scenario s) {
     case Scenario::kVgg19RoundRobin: return "Vgg19RoundRobin";
     case Scenario::kGoogLeNetRoundRobin: return "GoogLeNetRoundRobin";
     case Scenario::kHeteroRemainder: return "HeteroRemainder";
+    case Scenario::kFailStop: return "FailStop";
   }
   return "?";
 }
@@ -99,8 +122,9 @@ void PrintTo(const Golden& g, std::ostream* os) {
 }
 
 model::Model ModelFor(Scenario s) {
-  return s == Scenario::kVgg19RoundRobin ? model::zoo::Vgg19()
-                                         : model::zoo::GoogLeNet();
+  return s == Scenario::kVgg19RoundRobin || s == Scenario::kFailStop
+             ? model::zoo::Vgg19()
+             : model::zoo::GoogLeNet();
 }
 
 EngineFactory FactoryFor(Baseline b, const model::Model& model) {
@@ -124,9 +148,24 @@ StragglerFactory StragglersFor(Scenario s) {
       return std::make_unique<sim::HeterogeneousWorker>(2, 2.0);
     };
   }
+  if (s == Scenario::kFailStop) return NoStragglerFactory();
   return [](int n) {
     return std::make_unique<sim::RoundRobinStragglers>(n, 1.0);
   };
+}
+
+/// Fail-stops `workers` at 7.15 s, halfway through the second iteration
+/// of the clean VGG19 @ 512 DP run (whose iterations take 4.767 s).
+FaultFactory FailStopAt715(std::vector<int> workers) {
+  return [workers](int) {
+    std::vector<sim::CrashEvent> events;
+    for (int w : workers) events.push_back({w, 7.15, sim::kNeverTime});
+    return std::make_unique<sim::ScriptedCrashes>(std::move(events));
+  };
+}
+
+FaultFactory FaultsFor(Scenario s) {
+  return s == Scenario::kFailStop ? FailStopAt715({5}) : NoFaultFactory();
 }
 
 ExperimentSpec SpecFor(Scenario s) {
@@ -138,6 +177,7 @@ ExperimentSpec SpecFor(Scenario s) {
     case Scenario::kVgg19RoundRobin: spec.total_batch = 512.0; break;
     case Scenario::kGoogLeNetRoundRobin: spec.total_batch = 256.0; break;
     case Scenario::kHeteroRemainder: spec.total_batch = 510.0; break;
+    case Scenario::kFailStop: spec.total_batch = 512.0; break;
   }
   return spec;
 }
@@ -149,7 +189,7 @@ TEST_P(BaselineGolden, TranscriptsMatchGolden) {
   const ExperimentResult r =
       RunExperiment(SpecFor(g.scenario),
                     FactoryFor(g.engine, ModelFor(g.scenario)),
-                    StragglersFor(g.scenario));
+                    StragglersFor(g.scenario), FaultsFor(g.scenario));
   ASSERT_TRUE(r.observed);
   const uint64_t binary = Fnv1a64(BinaryTranscript(r));
   const uint64_t text = Fnv1a64(DeterminismTranscript(r));
@@ -163,6 +203,22 @@ INSTANTIATE_TEST_SUITE_P(
       return ScenarioName(info.param.scenario) +
              BaselineName(info.param.engine);
     });
+
+TEST(FelaDrainGolden, AllWorkersFailStopStallsAfterOneIteration) {
+  const model::Model vgg = model::zoo::Vgg19();
+  core::FelaConfig cfg = core::FelaConfig::Defaults(3, 8);
+  cfg.weights = {1, 2, 4};
+  const ExperimentResult r = RunExperiment(
+      SpecFor(Scenario::kFailStop), suite::FelaFactory(vgg, cfg),
+      NoStragglerFactory(), FailStopAt715({0, 1, 2, 3, 4, 5, 6, 7}));
+  ASSERT_TRUE(r.observed);
+  EXPECT_TRUE(r.stats.stalled);
+  EXPECT_EQ(r.stats.iteration_count(), 1);
+  const uint64_t binary = Fnv1a64(BinaryTranscript(r));
+  const uint64_t text = Fnv1a64(DeterminismTranscript(r));
+  EXPECT_EQ(binary, 0x5147d29fe0f93939ull) << std::hex << "binary 0x" << binary;
+  EXPECT_EQ(text, 0x79ff42dc93f21bb1ull) << std::hex << "text 0x" << text;
+}
 
 }  // namespace
 }  // namespace fela::runtime

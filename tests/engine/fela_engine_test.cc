@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "model/zoo.h"
 #include "runtime/cluster.h"
+#include "runtime/experiment.h"
+#include "suite/suite.h"
 
 namespace fela::core {
 namespace {
@@ -198,10 +202,18 @@ TEST(FelaEngineTest, HfOffIsSlowerThanHfOn) {
 }
 
 TEST(FelaEngineDeathTest, SecondRunAborts) {
-  auto cluster = CleanCluster();
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(), 128);
-  engine.Run(1);
-  EXPECT_DEATH(engine.Run(1), "once");
+  // Run-once is the iteration driver's rule, so every engine keeps it.
+  const model::Model vgg = model::zoo::Vgg19();
+  const runtime::EngineFactory factories[] = {
+      suite::DpFactory(vgg),        suite::PsDpFactory(vgg),
+      suite::MpFactory(vgg),        suite::HpFactory(vgg),
+      suite::ElasticMpFactory(vgg), suite::FelaFactory(vgg, PaperConfig())};
+  for (const runtime::EngineFactory& factory : factories) {
+    auto cluster = CleanCluster();
+    const std::unique_ptr<runtime::Engine> engine = factory(*cluster, 128);
+    engine->Run(1);
+    EXPECT_DEATH(engine->Run(1), "once") << engine->name();
+  }
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
-#include "core/token_server.h"
+#include "runtime/sweep.h"
 #include "testing/spec_gen.h"
 
 namespace fela::testing {
@@ -55,8 +57,9 @@ TEST(FuzzerTest, ShrinkOfPassingSpecIsANoOp) {
 /// decorative.
 class MutationCanaryTest : public ::testing::Test {
  protected:
-  void SetUp() override { core::SetTokenServerMutationForTesting(true); }
-  void TearDown() override { core::SetTokenServerMutationForTesting(false); }
+  MutationCanaryTest() { armed_.canaries.leak_completions = true; }
+
+  FuzzOptions armed_;
 };
 
 TEST_F(MutationCanaryTest, OracleTripsAndShrinkerMinimizes) {
@@ -66,7 +69,7 @@ TEST_F(MutationCanaryTest, OracleTripsAndShrinkerMinimizes) {
   for (uint64_t seed = 1; seed <= 60 && !found; ++seed) {
     const FuzzSpec spec = GenerateSpec(seed);
     if (spec.engine != EngineKind::kFela) continue;
-    const FuzzCaseResult r = RunFuzzCase(spec);
+    const FuzzCaseResult r = RunFuzzCase(spec, armed_);
     for (const Violation& v : r.violations) {
       if (v.oracle == "token-conservation") {
         failing = spec;
@@ -79,7 +82,7 @@ TEST_F(MutationCanaryTest, OracleTripsAndShrinkerMinimizes) {
 
   // The shrinker must bring the repro down to a debuggable size while
   // still tripping the same oracle.
-  const ShrinkResult shrunk = Shrink(failing);
+  const ShrinkResult shrunk = Shrink(failing, armed_);
   EXPECT_LE(shrunk.spec.num_workers, 4);
   EXPECT_LE(shrunk.spec.iterations, 10);
   bool still_trips = false;
@@ -97,7 +100,7 @@ TEST_F(MutationCanaryTest, OracleTripsAndShrinkerMinimizes) {
       << error;
   FuzzSpec replayed;
   ASSERT_TRUE(SpecFromJson(parsed, &replayed, &error)) << error;
-  const FuzzCaseResult again = RunFuzzCase(replayed);
+  const FuzzCaseResult again = RunFuzzCase(replayed, armed_);
   bool replay_trips = false;
   for (const Violation& v : again.violations) {
     if (v.oracle == "token-conservation") replay_trips = true;
@@ -130,12 +133,13 @@ FuzzSpec DonatingShardSpec() {
 /// stays quiet under this, the per-shard audit is decorative.
 class ShardMutationCanaryTest : public ::testing::Test {
  protected:
-  void SetUp() override { core::SetShardDonationMutationForTesting(true); }
-  void TearDown() override { core::SetShardDonationMutationForTesting(false); }
+  ShardMutationCanaryTest() { armed_.canaries.skip_donor_decrement = true; }
+
+  FuzzOptions armed_;
 };
 
 TEST_F(ShardMutationCanaryTest, ShardConservationOracleBites) {
-  const FuzzCaseResult r = RunFuzzCase(DonatingShardSpec());
+  const FuzzCaseResult r = RunFuzzCase(DonatingShardSpec(), armed_);
   bool tripped = false;
   for (const Violation& v : r.violations) {
     if (v.oracle == "shard-conservation") tripped = true;
@@ -173,8 +177,38 @@ TEST_F(MutationCanaryTest, CanaryOnlyAffectsFelaRuns) {
   spec.engine = EngineKind::kDp;
   spec.fault = FaultKind::kNone;
   spec.straggler = StragglerKind::kNone;
-  const FuzzCaseResult r = RunFuzzCase(spec);
+  const FuzzCaseResult r = RunFuzzCase(spec, armed_);
   EXPECT_TRUE(r.ok()) << r.violations.front().detail;
+}
+
+TEST_F(MutationCanaryTest, SweepPrintsTheSerialLines) {
+  // The canary is per run, so armed cases on a 4-job sweep print what a
+  // serial run prints: the Fela cases the search above walks, plus the
+  // DP case.
+  std::vector<FuzzSpec> specs;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const FuzzSpec spec = GenerateSpec(seed);
+    if (spec.engine == EngineKind::kFela) specs.push_back(spec);
+  }
+  FuzzSpec dp = GenerateSpec(2);
+  dp.engine = EngineKind::kDp;
+  specs.push_back(dp);
+  std::vector<std::string> serial;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    serial.push_back(CaseSummaryLine(i, RunFuzzCase(specs[i], armed_)));
+  }
+  std::vector<std::string> swept(specs.size());
+  runtime::SweepRunner runner(4);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    runner.Add([this, &specs, &swept, i] {
+      swept[i] = CaseSummaryLine(i, RunFuzzCase(specs[i], armed_));
+    });
+  }
+  runner.RunAll();
+  EXPECT_EQ(swept, serial);
+  EXPECT_TRUE(std::any_of(serial.begin(), serial.end(), [](const auto& l) {
+    return l.find("VIOLATION") != std::string::npos;
+  })) << "the canary never tripped";
 }
 
 }  // namespace

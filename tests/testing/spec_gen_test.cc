@@ -119,10 +119,11 @@ TEST(SpecGenTest, SpecFromJsonRejectsBadDocuments) {
   EXPECT_FALSE(SpecFromJson(unknown, &out, &error));
   EXPECT_NE(error.find("warp-drive"), std::string::npos);
 
-  // Integer fields are range-checked before any cast, and the cluster
-  // shape before anything is sized by it: each document below must be
-  // rejected with an error naming the field, never aborted, thrown on or
-  // truncated.
+  // Integer fields are range-checked before any cast, the cluster shape
+  // before anything is sized by it, and schedule parameters against the
+  // ranges their constructors check, whatever kind the spec selects:
+  // each document below must be rejected with an error naming the field,
+  // never aborted, thrown on or truncated.
   const FuzzSpec base = GenerateSpec(1);
   ASSERT_LT(base.straggler_victim, base.num_workers);
   const struct {
@@ -149,6 +150,21 @@ TEST(SpecGenTest, SpecFromJsonRejectsBadDocuments) {
       {"total_batch", 0, "total_batch"},
       {"seed", -1, "seed"},
       {"seed", "99999999999999999999", "seed"},
+      {"straggler_delay_sec", -1, "straggler_delay_sec"},
+      {"straggler_probability", 2, "straggler_probability"},
+      {"straggler_slowdown", 0.5, "straggler_slowdown"},
+      {"crash_time_sec", -1, "crash_time_sec"},
+      {"recover_time_sec", base.crash_time_sec, "recover_time_sec"},
+      {"crash_prob", 2, "crash_prob"},
+      {"crash_window_sec", 0, "crash_window_sec"},
+      {"crash_down_sec", 0, "crash_down_sec"},
+      {"drop_prob", 1, "drop_prob"},
+      {"dup_prob", 2, "dup_prob"},
+      {"partition_start_sec", -1, "partition_start_sec"},
+      {"partition_dur_sec", 0, "partition_dur_sec"},
+      {"gray_start_sec", -1, "gray_start_sec"},
+      {"gray_dur_sec", -1, "gray_dur_sec"},
+      {"gray_factor", 0, "gray_factor"},
   };
   for (const auto& b : bad) {
     common::Json doc = SpecToJson(base);

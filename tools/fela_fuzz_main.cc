@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "core/token_server.h"
 #include "runtime/sweep.h"
 #include "testing/fuzzer.h"
 #include "testing/spec_gen.h"
@@ -31,6 +30,7 @@
 namespace {
 
 using fela::testing::FuzzCaseResult;
+using fela::testing::FuzzOptions;
 using fela::testing::FuzzSpec;
 
 struct Options {
@@ -39,7 +39,7 @@ struct Options {
   int jobs = 1;
   std::string shrink_out = "fela-fuzz-repro.json";
   std::string replay;
-  bool mutate = false;
+  FuzzOptions fuzz;  // --mutate arms its completion-leak canary
 };
 
 bool ParseUint(const std::string& text, uint64_t* out) {
@@ -87,7 +87,7 @@ bool ParseArgs(const std::vector<std::string>& args, Options* out,
       if (!next(&v)) return false;
       out->replay = v;
     } else if (a == "--mutate") {
-      out->mutate = true;
+      out->fuzz.canaries.leak_completions = true;
     } else {
       err << "fela-fuzz: unknown argument '" << a << "'\n";
       return false;
@@ -134,7 +134,7 @@ int Replay(const Options& opts, std::ostream& os, std::ostream& err) {
         << "\n";
     return 2;
   }
-  const FuzzCaseResult result = fela::testing::RunFuzzCase(spec);
+  const FuzzCaseResult result = fela::testing::RunFuzzCase(spec, opts.fuzz);
   os << "replay " << fela::testing::SpecLabel(spec) << "\n";
   if (result.ok()) {
     os << "replay ok\n";
@@ -156,9 +156,9 @@ int Fuzz(const Options& opts, std::ostream& os, std::ostream& err) {
   fela::runtime::SweepRunner runner(opts.jobs);
   for (int i = 0; i < opts.runs; ++i) {
     const uint64_t case_seed = opts.seed + static_cast<uint64_t>(i);
-    runner.Add([&results, i, case_seed] {
-      results[static_cast<size_t>(i)] =
-          fela::testing::RunFuzzCase(fela::testing::GenerateSpec(case_seed));
+    runner.Add([&results, &opts, i, case_seed] {
+      results[static_cast<size_t>(i)] = fela::testing::RunFuzzCase(
+          fela::testing::GenerateSpec(case_seed), opts.fuzz);
     });
   }
   runner.RunAll();
@@ -180,7 +180,8 @@ int Fuzz(const Options& opts, std::ostream& os, std::ostream& err) {
 
   // Minimize the first failure into a replayable repro.
   const FuzzSpec& failed = results[static_cast<size_t>(first_failing)].spec;
-  const fela::testing::ShrinkResult shrunk = fela::testing::Shrink(failed);
+  const fela::testing::ShrinkResult shrunk =
+      fela::testing::Shrink(failed, opts.fuzz);
   os << "shrink: " << shrunk.reductions << " reduction(s) in "
      << shrunk.attempts << " attempt(s) -> "
      << fela::testing::SpecLabel(shrunk.spec) << "\n";
@@ -196,12 +197,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
   Options opts;
   if (!ParseArgs(args, &opts, std::cerr)) return Usage(std::cerr);
-  if (opts.mutate) {
-    // The canary's leak counter is process-global: parallel cases would
-    // race it, so mutation runs are forced serial.
-    fela::core::SetTokenServerMutationForTesting(true);
-    opts.jobs = 1;
-  }
   if (!opts.replay.empty()) return Replay(opts, std::cout, std::cerr);
   return Fuzz(opts, std::cout, std::cerr);
 }
