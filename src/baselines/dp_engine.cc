@@ -1,10 +1,11 @@
 #include "baselines/dp_engine.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
+#include "model/memory_model.h"
 #include "sim/collectives.h"
+#include "sim/types.h"
 
 namespace fela::baselines {
 
@@ -12,21 +13,15 @@ DpEngine::DpEngine(runtime::Cluster* cluster, const model::Model& model,
                    double total_batch)
     : Engine(cluster),
       model_(model),
-      cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      memory_(cluster->calibration()) {
-  FELA_CHECK_GT(total_batch, 0.0);
+      cost_(cluster->calibration(), &model::ProfileRepository::Default()) {
+  FELA_CHECK(sim::IsTotalBatch(total_batch)) << total_batch;
   const int n = cluster_->num_workers();
   per_worker_batch_ = total_batch / static_cast<double>(n);
-  const int max_fit = memory_.MaxBatchForModel(model_);
-  FELA_CHECK_GT(max_fit, 0) << "model does not fit on the device at batch 1";
-  if (per_worker_batch_ <= static_cast<double>(max_fit)) {
-    micro_batch_ = per_worker_batch_;
-    micro_steps_ = 1;
-  } else {
-    micro_steps_ = static_cast<int>(
-        std::ceil(per_worker_batch_ / static_cast<double>(max_fit)));
-    micro_batch_ = per_worker_batch_ / static_cast<double>(micro_steps_);
-  }
+  const model::MemoryModel::Accumulation acc =
+      model::MemoryModel(cluster_->calibration())
+          .AccumulationForModel(model_, per_worker_batch_);
+  micro_batch_ = acc.micro_batch;
+  micro_steps_ = acc.micro_steps;
   param_bytes_ =
       model_.TotalParams() * cluster_->calibration().bytes_per_scalar;
   attempt_start_.assign(static_cast<size_t>(n), 0.0);

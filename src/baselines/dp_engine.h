@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "model/cost_model.h"
-#include "model/memory_model.h"
 #include "model/model.h"
 #include "runtime/cluster.h"
 #include "runtime/engine.h"
@@ -44,7 +43,6 @@ class DpEngine : public runtime::Engine {
 
   model::Model model_;
   model::LayerCostModel cost_;
-  model::MemoryModel memory_;
   double per_worker_batch_;
   double micro_batch_;
   int micro_steps_;

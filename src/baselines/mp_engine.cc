@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "sim/types.h"
 
 namespace fela::baselines {
 
@@ -19,8 +20,9 @@ MpEngine::MpEngine(runtime::Cluster* cluster, const model::Model& model,
       model_(model),
       cost_(cluster->calibration(), &model::ProfileRepository::Default()),
       micro_batch_(micro_batch) {
-  FELA_CHECK_GT(total_batch, 0.0);
-  FELA_CHECK_GT(micro_batch, 0.0);
+  // Bounded so the micro-batch count below fits an int.
+  FELA_CHECK(sim::IsTotalBatch(total_batch)) << total_batch;
+  FELA_CHECK_GE(micro_batch, 1.0);
   num_micros_ = std::max(
       1, static_cast<int>(std::ceil(total_batch / micro_batch)));
   last_micro_batch_ =

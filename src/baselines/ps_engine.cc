@@ -1,9 +1,8 @@
 #include "baselines/ps_engine.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
+#include "model/memory_model.h"
+#include "sim/types.h"
 
 namespace fela::baselines {
 
@@ -12,18 +11,17 @@ PsDpEngine::PsDpEngine(runtime::Cluster* cluster, const model::Model& model,
     : Engine(cluster),
       model_(model),
       cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      memory_(cluster->calibration()),
       num_servers_(num_servers) {
-  FELA_CHECK_GT(total_batch, 0.0);
+  FELA_CHECK(sim::IsTotalBatch(total_batch)) << total_batch;
   FELA_CHECK_GE(num_servers, 1);
   FELA_CHECK_LE(num_servers, cluster->num_workers());
   const double per_worker =
       total_batch / static_cast<double>(cluster->num_workers());
-  const int max_fit = memory_.MaxBatchForModel(model_);
-  FELA_CHECK_GT(max_fit, 0);
-  micro_steps_ = std::max(
-      1, static_cast<int>(std::ceil(per_worker / static_cast<double>(max_fit))));
-  micro_batch_ = per_worker / static_cast<double>(micro_steps_);
+  const model::MemoryModel::Accumulation acc =
+      model::MemoryModel(cluster_->calibration())
+          .AccumulationForModel(model_, per_worker);
+  micro_batch_ = acc.micro_batch;
+  micro_steps_ = acc.micro_steps;
   shard_bytes_ = model_.TotalParams() *
                  cluster_->calibration().bytes_per_scalar /
                  static_cast<double>(num_servers_);

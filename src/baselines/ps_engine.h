@@ -4,7 +4,6 @@
 #include <string>
 
 #include "model/cost_model.h"
-#include "model/memory_model.h"
 #include "model/model.h"
 #include "runtime/cluster.h"
 #include "runtime/engine.h"
@@ -42,7 +41,6 @@ class PsDpEngine : public runtime::Engine {
 
   model::Model model_;
   model::LayerCostModel cost_;
-  model::MemoryModel memory_;
   double micro_batch_;
   int micro_steps_;
   int num_servers_;

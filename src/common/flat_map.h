@@ -9,12 +9,12 @@
 namespace fela::common {
 
 /// A sorted-vector map: one contiguous allocation, O(log n) lookup, and
-/// deterministic in-order iteration for free — the same guarantee the
-/// sorted-snapshot pattern (core/info_mapping.h) buys for unordered
-/// containers, but without the per-snapshot copy. Replaces
-/// std::map<K, V> on hot paths whose keys arrive mostly in increasing
-/// order (token ids are monotonic), where insert degenerates to an
-/// amortized-O(1) push_back instead of a rebalancing tree allocation.
+/// deterministic in-order iteration for free — the sorted key order
+/// fela-lint's unordered-iter rule asks for, without a per-snapshot
+/// copy. Replaces std::map<K, V> on hot paths whose keys arrive mostly
+/// in increasing order (token ids are monotonic), where insert
+/// degenerates to an amortized-O(1) push_back instead of a rebalancing
+/// tree allocation.
 ///
 /// Not a general-purpose map: erase is O(n) (it keeps the vector sorted
 /// by shifting), so it fits small-to-medium live sets with high

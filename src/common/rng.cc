@@ -58,8 +58,6 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 uint64_t MixSeed(uint64_t a, uint64_t b, uint64_t c) {
   uint64_t x = a * 0x9e3779b97f4a7c15ULL + b * 0xbf58476d1ce4e5b9ULL +
                c * 0x94d049bb133111ebULL + 0x2545f4914f6cdd1dULL;
@@ -73,18 +71,15 @@ double JitteredBackoffSec(double base_sec, double multiplier, double max_sec,
   double delay = base_sec;
   for (int i = 0; i < attempt; ++i) {
     delay *= multiplier;
-    if (max_sec > 0.0 && delay >= max_sec) break;  // cap reached; stop early
+    if (delay >= max_sec) break;  // cap reached; stop early
   }
-  if (max_sec > 0.0 && delay > max_sec) delay = max_sec;
-  if (seed != 0) {
-    // Jitter stretches, never shrinks: a jittered retry must not fire
-    // before the un-jittered schedule would, or arming the timers alone
-    // (an inert fault schedule) could perturb a run that never needed
-    // the retry. Decorrelation only needs spread, not direction.
-    Rng rng(MixSeed(seed, stream, static_cast<uint64_t>(attempt)));
-    delay *= 1.0 + 0.5 * rng.UniformDouble();
-  }
-  return delay;
+  if (delay > max_sec) delay = max_sec;
+  // Jitter stretches, never shrinks: a jittered retry must not fire
+  // before the un-jittered schedule would, or arming the timers alone
+  // (an inert fault schedule) could perturb a run that never needed the
+  // retry. Decorrelation only needs spread, not direction.
+  Rng rng(MixSeed(seed, stream, static_cast<uint64_t>(attempt)));
+  return delay * (1.0 + 0.5 * rng.UniformDouble());
 }
 
 }  // namespace fela::common

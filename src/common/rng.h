@@ -1,10 +1,7 @@
 #ifndef FELA_COMMON_RNG_H_
 #define FELA_COMMON_RNG_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace fela::common {
 
@@ -30,19 +27,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (size_t i = v.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(i));
-      std::swap(v[i - 1], v[j]);
-    }
-  }
-
-  /// Derives an independent child generator (stable across platforms);
-  /// used to give each worker / injector its own stream.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };
@@ -59,9 +43,7 @@ uint64_t MixSeed(uint64_t a, uint64_t b, uint64_t c);
 /// *stretches* the delay — a jittered retry never fires before the
 /// un-jittered schedule would, so merely arming retry timers (an inert
 /// fault schedule) cannot perturb a run that never needed them. Same
-/// inputs, same delay, on every platform. `max_sec <= 0` means uncapped;
-/// `seed == 0` disables jitter (pure exponential). attempt 0 is the
-/// first retry.
+/// inputs, same delay, on every platform. attempt 0 is the first retry.
 double JitteredBackoffSec(double base_sec, double multiplier, double max_sec,
                           int attempt, uint64_t seed, uint64_t stream);
 

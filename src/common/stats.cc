@@ -1,62 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 
 namespace fela::common {
-
-void SummaryStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void SummaryStats::Merge(const SummaryStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const double n = static_cast<double>(count_);
-  const double m = static_cast<double>(other.count_);
-  m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  mean_ = (n * mean_ + m * other.mean_) / (n + m);
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void SummaryStats::Reset() { *this = SummaryStats(); }
-
-double SummaryStats::min() const { return count_ == 0 ? 0.0 : min_; }
-double SummaryStats::max() const { return count_ == 0 ? 0.0 : max_; }
-
-double SummaryStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double SummaryStats::stddev() const { return std::sqrt(variance()); }
-
-std::string SummaryStats::ToString() const {
-  std::ostringstream os;
-  os << "n=" << count_ << " mean=" << mean() << " stddev=" << stddev()
-     << " min=" << min() << " max=" << max();
-  return os.str();
-}
 
 double Samples::Sum() const {
   double s = 0.0;
@@ -89,42 +37,6 @@ double Samples::Percentile(double q) const {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  FELA_CHECK_GT(hi, lo);
-  FELA_CHECK_GT(buckets, 0u);
-}
-
-size_t Histogram::BucketOf(double x) const {
-  if (x < lo_) return 0;
-  size_t b = static_cast<size_t>((x - lo_) / width_);
-  return std::min(b, counts_.size() - 1);
-}
-
-void Histogram::Add(double x) {
-  ++counts_[BucketOf(x)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket + 1);
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream os;
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    os << "[" << bucket_lo(b) << ", " << bucket_hi(b) << "): " << counts_[b]
-       << "\n";
-  }
-  return os.str();
 }
 
 std::vector<double> NormalizeToUnit(const std::vector<double>& values) {

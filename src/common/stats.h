@@ -2,40 +2,9 @@
 #define FELA_COMMON_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace fela::common {
-
-/// Streaming summary statistics over doubles (Welford's algorithm for
-/// numerically stable mean/variance). Used for per-iteration timings.
-class SummaryStats {
- public:
-  SummaryStats() = default;
-
-  void Add(double x);
-  void Merge(const SummaryStats& other);
-  void Reset();
-
-  size_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double min() const;
-  double max() const;
-  /// Population variance / stddev (0 when count < 2).
-  double variance() const;
-  double stddev() const;
-
-  std::string ToString() const;
-
- private:
-  size_t count_ = 0;
-  double sum_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Retains all samples; supports exact percentiles. Fine for the sample
 /// counts in this project (hundreds of iterations).
@@ -56,30 +25,6 @@ class Samples {
 
  private:
   std::vector<double> values_;
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range samples land
-/// in the clamped edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  size_t bucket_count() const { return counts_.size(); }
-  size_t BucketOf(double x) const;
-  size_t count(size_t bucket) const { return counts_[bucket]; }
-  size_t total() const { return total_; }
-  double bucket_lo(size_t bucket) const;
-  double bucket_hi(size_t bucket) const;
-  /// ASCII rendering, one line per non-empty bucket.
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<size_t> counts_;
-  size_t total_ = 0;
 };
 
 /// Normalizes values to [0, 1] by (x - min) / (max - min), the scheme used

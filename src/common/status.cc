@@ -8,18 +8,6 @@ const char* StatusCodeName(StatusCode code) {
       return "OK";
     case StatusCode::kInvalidArgument:
       return "InvalidArgument";
-    case StatusCode::kNotFound:
-      return "NotFound";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kFailedPrecondition:
-      return "FailedPrecondition";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
-    case StatusCode::kInternal:
-      return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
   }
   return "Unknown";
 }

@@ -34,25 +34,6 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-std::string_view StripWhitespace(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\n' || s[b] == '\r')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\n' ||
-                   s[e - 1] == '\r'))
-    --e;
-  return s.substr(b, e - b);
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 namespace internal_string {
 std::string ToDisplayString(const std::string& v) { return v; }
 std::string ToDisplayString(std::string_view v) { return std::string(v); }

@@ -17,12 +17,6 @@ std::string Join(const Container& parts, std::string_view sep);
 /// Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string_view StripWhitespace(std::string_view s);
-
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 // Implementation details only below here.
 
 namespace internal_string {

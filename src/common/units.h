@@ -1,28 +1,12 @@
 #ifndef FELA_COMMON_UNITS_H_
 #define FELA_COMMON_UNITS_H_
 
-#include <cstdint>
-#include <string>
-
 namespace fela::common {
 
-inline constexpr double kKiB = 1024.0;
-inline constexpr double kMiB = 1024.0 * 1024.0;
 inline constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
-
-inline constexpr double kKilo = 1e3;
-inline constexpr double kMega = 1e6;
-inline constexpr double kGiga = 1e9;
-inline constexpr double kTera = 1e12;
 
 /// Converts a link rate in gigabits per second to bytes per second.
 constexpr double GbpsToBytesPerSec(double gbps) { return gbps * 1e9 / 8.0; }
-
-/// "1.50 GiB", "12.00 MiB", "512 B" -- for logs and reports.
-std::string FormatBytes(double bytes);
-
-/// "1.234 s", "12.3 ms", "45.6 us" -- for logs and reports.
-std::string FormatSeconds(double seconds);
 
 }  // namespace fela::common
 

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "sim/types.h"
 
 namespace fela::core {
 
@@ -64,14 +65,10 @@ common::Status ValidateConfig(const FelaConfig& config, int num_sub_models,
         "retry_timeout_sec must be positive, got %g",
         config.retry_timeout_sec));
   }
-  if (!(config.retry_backoff_mult >= 1.0)) {
+  if (!(config.retry_timeout_sec <= kRetryTimeoutMaxSec)) {
     return common::Status::InvalidArgument(common::StrFormat(
-        "retry_backoff_mult must be >= 1, got %g", config.retry_backoff_mult));
-  }
-  if (!(config.retry_timeout_max_sec >= config.retry_timeout_sec)) {
-    return common::Status::InvalidArgument(common::StrFormat(
-        "retry_timeout_max_sec %g is below retry_timeout_sec %g",
-        config.retry_timeout_max_sec, config.retry_timeout_sec));
+        "retry_timeout_sec %g is above the backoff cap %g",
+        config.retry_timeout_sec, kRetryTimeoutMaxSec));
   }
   if (!(config.ts_checkpoint_interval_sec > 0.0)) {
     return common::Status::InvalidArgument(common::StrFormat(
@@ -98,9 +95,9 @@ common::Status ValidatePlanInputs(
     return common::Status::InvalidArgument(
         common::StrFormat("num_workers must be positive, got %d", num_workers));
   }
-  if (!(total_batch > 0.0)) {  // also rejects NaN
-    return common::Status::InvalidArgument(
-        common::StrFormat("total_batch must be positive, got %g", total_batch));
+  if (!sim::IsTotalBatch(total_batch)) {  // also rejects NaN
+    return common::Status::InvalidArgument(common::StrFormat(
+        "total_batch %g outside (0, %g]", total_batch, sim::kMaxInputBatch));
   }
   if (sub_models.empty()) {
     return common::Status::InvalidArgument("partition has no sub-models");
@@ -119,7 +116,7 @@ common::Status ValidatePlanInputs(
           sm.threshold_batch));
     }
   }
-  // Fault-tolerance knobs (lease/retry/backoff/checkpoint) are part of
+  // Fault-tolerance knobs (lease/retry/checkpoint) are part of
   // ValidateConfig, so they are checked here too.
   return ValidateConfig(config, static_cast<int>(sub_models.size()),
                         num_workers);

@@ -10,6 +10,17 @@
 
 namespace fela::core {
 
+/// Request retry backoff, fixed for every run: the k-th consecutive retry
+/// of one request waits min(retry_timeout_sec * kRetryBackoffMult^k,
+/// kRetryTimeoutMaxSec), stretched by a deterministic jitter factor in
+/// [1.0, 1.5) seeded from kRetryJitterSeed and the worker id (see
+/// common::JitteredBackoffSec). Jitter never shortens a wait. Keeps a
+/// partitioned minority from hammering the control plane in lockstep
+/// while it waits for a heal.
+inline constexpr double kRetryBackoffMult = 2.0;
+inline constexpr double kRetryTimeoutMaxSec = 60.0;
+inline constexpr uint64_t kRetryJitterSeed = 0x5eedbacc0ffULL;
+
 /// User/tuner-facing knobs of the Fela engine.
 struct FelaConfig {
   /// Parallelism-degree weights, one per sub-model; w[0] must be 1 and
@@ -30,21 +41,11 @@ struct FelaConfig {
   /// Fault-tolerance knobs. Every grant carries a lease: if the worker
   /// has not reported completion within `lease_timeout_sec` the token
   /// server reclaims the token and re-grants it elsewhere. Workers resend
-  /// an unanswered token request after `retry_timeout_sec` (covers grants
-  /// or requests lost on a lossy control plane).
+  /// an unanswered token request after `retry_timeout_sec`, the first
+  /// step of the fixed backoff above (covers grants or requests lost on
+  /// a lossy control plane); it may not exceed kRetryTimeoutMaxSec.
   double lease_timeout_sec = 15.0;
   double retry_timeout_sec = 5.0;
-
-  /// Retry backoff: the k-th consecutive retry of the same request waits
-  /// min(retry_timeout_sec * retry_backoff_mult^k, retry_timeout_max_sec)
-  /// stretched by a deterministic jitter factor in [1.0, 1.5) seeded from
-  /// `retry_jitter_seed` (0 disables jitter; mult 1.0 recovers the old
-  /// fixed-interval behaviour). Jitter never shortens a wait (see
-  /// common::JitteredBackoffSec). Keeps a partitioned minority from
-  /// hammering the control plane in lockstep while it waits for a heal.
-  double retry_backoff_mult = 2.0;
-  double retry_timeout_max_sec = 60.0;
-  uint64_t retry_jitter_seed = 0x5eedbacc0ffULL;
 
   /// Control-plane survivability. Each Token Server shard checkpoints its
   /// lease table every `ts_checkpoint_interval_sec` of simulated time;

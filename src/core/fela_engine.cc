@@ -82,9 +82,7 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
   if (faults_active()) {
     ts_->set_leases_enabled(true);
     for (auto& w : workers_) {
-      w.set_retry_policy(RetryPolicy{
-          config_.retry_timeout_sec, config_.retry_backoff_mult,
-          config_.retry_timeout_max_sec, config_.retry_jitter_seed});
+      w.set_retry_timeout_sec(config_.retry_timeout_sec);
     }
     sim::FaultMonitor::Callbacks m_cbs;
     m_cbs.on_crash = [this](int w) { OnWorkerCrash(w); };

@@ -1,21 +1,14 @@
 #include "core/info_mapping.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace fela::core {
-
-void InfoMapping::RecordAssigned(TokenId token, sim::NodeId worker) {
-  assignee_[token] = worker;
-}
 
 void InfoMapping::RecordCompleted(TokenId token, sim::NodeId worker) {
   FELA_CHECK(holder_.find(token) == holder_.end())
       << "token " << token << " completed twice";
   holder_[token] = worker;
   completed_by_[worker].insert(token);
-  assignee_.erase(token);
 }
 
 sim::NodeId InfoMapping::HolderOf(TokenId token) const {
@@ -23,45 +16,11 @@ sim::NodeId InfoMapping::HolderOf(TokenId token) const {
   return it == holder_.end() ? -1 : it->second;
 }
 
-sim::NodeId InfoMapping::AssigneeOf(TokenId token) const {
-  auto it = assignee_.find(token);
-  return it == assignee_.end() ? -1 : it->second;
-}
-
-bool InfoMapping::IsCompleted(TokenId token) const {
-  return holder_.count(token) > 0;
-}
-
 const std::unordered_set<TokenId>& InfoMapping::CompletedBy(
     sim::NodeId worker) const {
   static const std::unordered_set<TokenId> kEmpty;
   auto it = completed_by_.find(worker);
   return it == completed_by_.end() ? kEmpty : it->second;
-}
-
-std::vector<TokenId> InfoMapping::CompletedBySorted(sim::NodeId worker) const {
-  const auto& held = CompletedBy(worker);
-  std::vector<TokenId> out(held.begin(), held.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<TokenId> InfoMapping::CompletedTokensSorted() const {
-  std::vector<TokenId> out;
-  out.reserve(holder_.size());
-  // fela-lint: allow(unordered-iter): this IS the snapshot pattern: the
-  // collected keys are sorted before anything observes them.
-  for (const auto& [token, worker] : holder_) out.push_back(token);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::pair<TokenId, sim::NodeId>> InfoMapping::AssignmentsSorted()
-    const {
-  std::vector<std::pair<TokenId, sim::NodeId>> out(assignee_.begin(),
-                                                   assignee_.end());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 double InfoMapping::LocalityScore(sim::NodeId worker,
@@ -88,7 +47,6 @@ double InfoMapping::LocalityScore(sim::NodeId worker,
 
 void InfoMapping::Reset() {
   holder_.clear();
-  assignee_.clear();
   completed_by_.clear();
 }
 

@@ -3,7 +3,6 @@
 
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/token.h"
@@ -13,15 +12,12 @@ namespace fela::core {
 
 /// The token server's (worker, token) bookkeeping (§III-A): which worker
 /// completed each token (and therefore holds its output parameters in its
-/// Parameter Chunks), which worker is currently training which token, and
-/// the per-worker completed sets H_wid used by the Eq. 1 locality score.
+/// Parameter Chunks), and the per-worker completed sets H_wid used by the
+/// Eq. 1 locality score. Which worker is training a token lives in the
+/// token server's lease table.
 class InfoMapping {
  public:
   InfoMapping() = default;
-
-  /// Registers that `worker` is currently training `token` (recorded at
-  /// distribution time, before the notify messages go out).
-  void RecordAssigned(TokenId token, sim::NodeId worker);
 
   /// Registers a completion report: `worker` now holds the token's
   /// output parameters.
@@ -30,29 +26,11 @@ class InfoMapping {
   /// Holder of a completed token's output, or -1 if not completed.
   sim::NodeId HolderOf(TokenId token) const;
 
-  /// Worker currently assigned to a token, or -1.
-  sim::NodeId AssigneeOf(TokenId token) const;
-
-  bool IsCompleted(TokenId token) const;
-
   /// H_wid: tokens completed by `worker` this iteration. Safe for
   /// membership tests and counting only — NEVER range-for this set into
   /// anything observable (events, trace lines, tie-breaks): iteration
   /// order is hash order, which varies across platforms and runs.
   const std::unordered_set<TokenId>& CompletedBy(sim::NodeId worker) const;
-
-  /// Sorted-key-snapshot pattern: any code that *iterates* the unordered
-  /// state below and feeds the results into event emission, logging,
-  /// span output, or tie-breaking must first copy the keys into a
-  /// sorted vector (what these helpers do) so the visit order is
-  /// deterministic. fela-lint's unordered-iter rule enforces this.
-  std::vector<TokenId> CompletedBySorted(sim::NodeId worker) const;
-
-  /// All completed token ids, ascending.
-  std::vector<TokenId> CompletedTokensSorted() const;
-
-  /// All currently-assigned (token, worker) pairs, ascending by token.
-  std::vector<std::pair<TokenId, sim::NodeId>> AssignmentsSorted() const;
 
   /// Eq. 1: |H_wid ∩ D_tid| / |D_tid|. Returns 1.0 for empty deps (a
   /// token with no dependencies is fully "local" anywhere).
@@ -68,7 +46,6 @@ class InfoMapping {
 
  private:
   std::unordered_map<TokenId, sim::NodeId> holder_;
-  std::unordered_map<TokenId, sim::NodeId> assignee_;
   std::unordered_map<sim::NodeId, std::unordered_set<TokenId>> completed_by_;
 };
 

@@ -701,7 +701,6 @@ Grant TokenServer::MakeGrant(Token token, sim::NodeId worker, bool stolen,
       ++st.remote_dep_fetches;
     }
   }
-  info_.RecordAssigned(token.id, worker);
   grant.token = std::move(token);
   return grant;
 }

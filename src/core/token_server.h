@@ -211,9 +211,6 @@ class FELA_THREAD_HOSTILE TokenServer {
     return std::min(static_cast<sim::NodeId>((shard + 1) * shard_block_),
                     static_cast<sim::NodeId>(num_workers()));
   }
-  bool shard_fenced(int shard) const {
-    return shard_fenced_[static_cast<size_t>(shard)];
-  }
 
   /// Snapshots one shard's live lease table (see ShardLeaseCheckpoint).
   ShardLeaseCheckpoint MakeShardLeaseCheckpoint(int shard) const;
@@ -252,9 +249,6 @@ class FELA_THREAD_HOSTILE TokenServer {
   }
   size_t waiter_count() const;
   size_t outstanding_lease_count() const;
-  bool IsWorkerDown(sim::NodeId worker) const {
-    return down_[static_cast<size_t>(worker)];
-  }
   size_t PendingTokenCount() const;
   int tokens_completed(int level) const {
     return completed_count_[static_cast<size_t>(level)];

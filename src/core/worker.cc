@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/fela_config.h"
 
 namespace fela::core {
 
@@ -21,7 +22,6 @@ void FelaWorker::BeginTokenWait() {
 
 void FelaWorker::BeginIteration(int iteration, double straggler_delay,
                                 double slowdown) {
-  chunks_.Clear();  // token outputs are iteration-scoped
   slowdown_ = slowdown;
   iteration_ = iteration;
   if (straggler_delay > 0.0) {
@@ -75,11 +75,11 @@ void FelaWorker::Quiesce() {
 }
 
 void FelaWorker::ArmRetryTimer() {
-  if (retry_.base_sec <= 0.0) return;
+  if (retry_timeout_sec_ <= 0.0) return;
   CancelRetryTimer();
   const double delay = common::JitteredBackoffSec(
-      retry_.base_sec, retry_.multiplier, retry_.max_sec, retry_attempt_,
-      retry_.jitter_seed, static_cast<uint64_t>(id_));
+      retry_timeout_sec_, kRetryBackoffMult, kRetryTimeoutMaxSec,
+      retry_attempt_, kRetryJitterSeed, static_cast<uint64_t>(id_));
   const int inc = incarnation_;
   // fela-lint: allow(untraced-event): retries trace as kRequestRetry at
   // fire time; arming the timer itself is not an observable event.
@@ -112,7 +112,6 @@ void FelaWorker::OnGrant(const Grant& grant) {
   if (busy_) {
     // A duplicate grant, or one that raced a retransmitted request. The
     // TS lease will reclaim the token; just drop it.
-    ++ignored_grants_;
     return;
   }
   request_outstanding_ = false;
@@ -149,7 +148,6 @@ void FelaWorker::OnGrant(const Grant& grant) {
   Token token = grant.token;
   const int inc = incarnation_;
   for (const auto& [holder, bytes] : grant.remote_fetches) {
-    bytes_fetched_ += bytes;
     ctx_->fabric->Transfer(holder, id_, bytes,
                            [this, remaining, token, inc]() mutable {
       if (--*remaining == 0) {
@@ -179,7 +177,6 @@ void FelaWorker::StartCompute(Token token) {
 }
 
 void FelaWorker::OnComputeDone(Token token) {
-  chunks_.Store(token.id);
   ++tokens_trained_;
   samples_trained_ += token.batch;
   busy_ = false;

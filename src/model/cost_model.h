@@ -48,11 +48,6 @@ class LayerCostModel {
   /// Samples/second achieved by one device on this layer at this batch.
   double Throughput(const Layer& layer, double batch) const;
 
-  /// Resolved threshold batch for a layer (profiled or heuristic).
-  double ThresholdBatch(const Layer& layer) const {
-    return repo_->ThresholdFor(layer);
-  }
-
   /// Simulated profiling sweep over power-of-two batches in
   /// [1, max_batch]: the experiment behind Fig. 1.
   std::vector<ThroughputPoint> SweepThroughput(const Layer& layer,

@@ -42,6 +42,16 @@ class MemoryModel {
     return MaxBatchForRange(model, 0, model.layer_count() - 1);
   }
 
+  /// Gradient accumulation for a full replica (DESIGN.md §1 item 3): a
+  /// per-worker `batch` that does not fit runs as the fewest equal
+  /// micro-batches that do, back to back. Requires sim::IsTotalBatch
+  /// and a model that fits at batch 1.
+  struct Accumulation {
+    double micro_batch = 0.0;  // samples resident at once
+    int micro_steps = 0;       // passes per iteration
+  };
+  Accumulation AccumulationForModel(const Model& model, double batch) const;
+
  private:
   sim::Calibration cal_;
 };

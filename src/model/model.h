@@ -45,9 +45,6 @@ class Model {
   double TotalFlopsPerSample() const {
     return FlopsPerSampleInRange(0, layer_count() - 1);
   }
-  double TotalActivationElems() const {
-    return ActivationElemsInRange(0, layer_count() - 1);
-  }
 
   /// Activation elements per sample crossing the boundary *into* layer
   /// `layer_index` (output of the previous layer, or the raw input for

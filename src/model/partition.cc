@@ -85,34 +85,6 @@ std::vector<SubModel> SubModelsForRanges(
   return out;
 }
 
-std::vector<std::pair<int, int>> BalancedFlopsPartition(const Model& model,
-                                                        int num_stages) {
-  FELA_CHECK_GT(num_stages, 0);
-  FELA_CHECK_LE(num_stages, model.layer_count());
-  const double total = model.TotalFlopsPerSample();
-  const double target = total / num_stages;
-  std::vector<std::pair<int, int>> ranges;
-  int start = 0;
-  double acc = 0.0;
-  for (int i = 0; i < model.layer_count(); ++i) {
-    acc += model.layer(i).FlopsPerSample();
-    const int remaining_layers = model.layer_count() - i - 1;
-    // Stages still to open after closing the current one here.
-    const int stages_after = num_stages - static_cast<int>(ranges.size()) - 1;
-    if (stages_after <= 0) break;  // last stage absorbs the tail
-    const bool must_close = remaining_layers == stages_after;
-    const bool may_close = remaining_layers >= stages_after;
-    if (must_close || (acc >= target && may_close)) {
-      ranges.emplace_back(start, i);
-      start = i + 1;
-      acc = 0.0;
-    }
-  }
-  ranges.emplace_back(start, model.layer_count() - 1);
-  FELA_CHECK_EQ(static_cast<int>(ranges.size()), num_stages);
-  return ranges;
-}
-
 std::vector<std::pair<int, int>> EqualLayerCountPartition(const Model& model,
                                                           int num_stages) {
   FELA_CHECK_GT(num_stages, 0);

@@ -52,12 +52,6 @@ class BinPartitioner {
 };
 
 /// Splits a model into `num_stages` contiguous stages with approximately
-/// equal training FLOPs. Each returned pair is an inclusive [first, last]
-/// layer range.
-std::vector<std::pair<int, int>> BalancedFlopsPartition(const Model& model,
-                                                        int num_stages);
-
-/// Splits a model into `num_stages` contiguous stages with approximately
 /// equal *layer counts* — the naive pipeline partition of the paper's MP
 /// baseline ("model partition can be hardly balanced", §I); the FLOP
 /// imbalance across stages is part of what the paper measures against.

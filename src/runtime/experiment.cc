@@ -12,10 +12,6 @@ StragglerFactory NoStragglerFactory() {
   return [](int) { return std::make_unique<sim::NoStragglers>(); };
 }
 
-FaultFactory NoFaultFactory() {
-  return [](int) { return std::make_unique<sim::NoFaults>(); };
-}
-
 ExperimentResult RunExperiment(const ExperimentSpec& spec,
                                const EngineFactory& engine_factory,
                                const StragglerFactory& straggler_factory,

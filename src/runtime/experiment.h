@@ -52,9 +52,6 @@ using FaultFactory =
 /// Returns a factory producing NoStragglers.
 StragglerFactory NoStragglerFactory();
 
-/// Returns a factory producing NoFaults.
-FaultFactory NoFaultFactory();
-
 /// Outcome of one run, with the paper's derived metrics.
 struct ExperimentResult {
   std::string engine_name;

@@ -120,7 +120,6 @@ void Fabric::SendControl(NodeId src, NodeId dst, std::function<void()> done) {
     // but nothing crosses the cut until the partition heals.
     if (faults_->Partitioned(now, src, dst)) {
       ++control_dropped_count_;
-      ++control_partition_dropped_count_;
       FELA_TRACE(fault_trace_, now, dst, TraceKind::kPartitionDrop,
                  FELA_TOK("src=%d seq=%llu"), src,
                  static_cast<unsigned long long>(seq));
@@ -179,7 +178,6 @@ void Fabric::ResetStats() {
   control_message_count_ = 0;
   control_dropped_count_ = 0;
   control_duplicated_count_ = 0;
-  control_partition_dropped_count_ = 0;
   control_seq_ = 0;
 }
 

@@ -77,11 +77,6 @@ class Fabric {
   uint64_t control_duplicated_count() const {
     return control_duplicated_count_;
   }
-  /// Drops attributable to a network partition between the endpoints
-  /// (also included in control_dropped_count).
-  uint64_t control_partition_dropped_count() const {
-    return control_partition_dropped_count_;
-  }
   /// Total time the node's outbound link spent busy with bulk data.
   double out_link_busy(NodeId node) const { return out_busy_[node]; }
   double in_link_busy(NodeId node) const { return in_busy_[node]; }
@@ -115,7 +110,6 @@ class Fabric {
   uint64_t control_message_count_ = 0;
   uint64_t control_dropped_count_ = 0;
   uint64_t control_duplicated_count_ = 0;
-  uint64_t control_partition_dropped_count_ = 0;
 };
 
 }  // namespace fela::sim

@@ -27,30 +27,6 @@ constexpr int64_t kMaxWindowScan = 1 << 20;
 
 }  // namespace
 
-bool FaultSchedule::AnyDownDuring(SimTime t0, SimTime t1, int worker) const {
-  if (!Active()) return false;
-  if (IsDownAt(t0, worker) || IsDownAt(t1, worker)) return true;
-  SimTime t = NextTransitionAfter(t0);
-  while (t <= t1) {
-    if (IsDownAt(t, worker)) return true;
-    const SimTime next = NextTransitionAfter(t);
-    if (next <= t) break;  // defensive: schedules must make progress
-    t = next;
-  }
-  return false;
-}
-
-SimTime FaultSchedule::NextUpAfter(SimTime t, int worker) const {
-  if (!IsDownAt(t, worker)) return t;
-  SimTime cur = t;
-  while (true) {
-    const SimTime next = NextTransitionAfter(cur);
-    if (IsNever(next) || next <= cur) return kNeverTime;
-    if (!IsDownAt(next, worker)) return next;
-    cur = next;
-  }
-}
-
 bool FaultSchedule::AnyUnreachableDuring(SimTime t0, SimTime t1, int worker,
                                          int anchor) const {
   if (!Active()) return false;

@@ -107,12 +107,6 @@ class FaultSchedule {
 
   // -- Derived helpers (implemented with the virtuals) --------------------
 
-  /// True if `worker` is down at any point in [t0, t1].
-  bool AnyDownDuring(SimTime t0, SimTime t1, int worker) const;
-
-  /// Earliest time >= t at which `worker` is up, or kNeverTime.
-  SimTime NextUpAfter(SimTime t, int worker) const;
-
   /// True if `worker` is down or partitioned from `anchor` at any point
   /// in [t0, t1] — "unreachable" from the coordinator's point of view.
   bool AnyUnreachableDuring(SimTime t0, SimTime t1, int worker,

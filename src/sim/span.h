@@ -121,9 +121,6 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  void set_iteration(int iteration) { iteration_ = iteration; }
-  void set_detail(common::TokenizedDetail detail) { detail_ = detail; }
-
   /// Emits now instead of at destruction; idempotent.
   void Close() {
     if (sink_ == nullptr) return;

@@ -53,6 +53,16 @@ using NodeId = int;
 /// Parsers reject larger counts before anything is sized by them.
 inline constexpr int kMaxInputWorkers = 65536;
 
+/// Most samples per iteration an input may ask for: 16 per worker at
+/// kMaxInputWorkers, 16x the largest batch any bench builds (65,536).
+/// Engines round batch quotients up to int counts (micro-batches, tokens);
+/// this keeps each inside int for divisors of at least one sample. NaN
+/// and infinity are outside it too.
+inline constexpr double kMaxInputBatch = 16.0 * kMaxInputWorkers;
+constexpr bool IsTotalBatch(double batch) {
+  return batch > 0.0 && batch <= kMaxInputBatch;
+}
+
 /// Handle returned by Simulator::Schedule (usable for cancellation).
 using EventId = uint64_t;
 

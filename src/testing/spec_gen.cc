@@ -580,9 +580,9 @@ bool SpecFromJson(const common::Json& json, FuzzSpec* out,
     return false;
   }
   if (!ReadNumber(json, "total_batch", &spec.total_batch, error)) return false;
-  if (!(spec.total_batch > 0.0 && std::isfinite(spec.total_batch))) {
-    *error = common::StrFormat("total_batch %.17g is not positive and finite",
-                               spec.total_batch);
+  if (!sim::IsTotalBatch(spec.total_batch)) {
+    *error = common::StrFormat("total_batch %.17g outside (0, %.17g]",
+                               spec.total_batch, sim::kMaxInputBatch);
     return false;
   }
   if (!ReadInt(json, "iterations", &spec.iterations, error)) return false;

@@ -80,27 +80,6 @@ TEST(RngTest, BernoulliRateApproximatesP) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(RngTest, ShufflePreservesElements) {
-  Rng rng(13);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> orig = v;
-  rng.Shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, orig);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(42);
-  Rng child = a.Fork();
-  Rng b(42);
-  (void)b.Next();  // Fork consumed one draw from the parent.
-  EXPECT_EQ(a.Next(), b.Next());
-  // The child stream should not mirror the parent.
-  Rng a2(42);
-  Rng child2 = a2.Fork();
-  EXPECT_EQ(child.Next(), child2.Next());
-}
-
 class RngBoundSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RngBoundSweep, NoModuloBiasAcrossBounds) {

@@ -2,69 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace fela::common {
 namespace {
-
-TEST(SummaryStatsTest, EmptyIsZeroed) {
-  SummaryStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(SummaryStatsTest, BasicMoments) {
-  SummaryStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);  // classic textbook data set
-}
-
-TEST(SummaryStatsTest, SumAccumulates) {
-  SummaryStats s;
-  s.Add(1.5);
-  s.Add(2.5);
-  EXPECT_DOUBLE_EQ(s.sum(), 4.0);
-}
-
-TEST(SummaryStatsTest, MergeMatchesCombinedStream) {
-  SummaryStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    double v = i * 0.37 - 3;
-    (i % 2 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(SummaryStatsTest, MergeWithEmptySides) {
-  SummaryStats a;
-  SummaryStats b;
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  SummaryStats c;
-  a.Merge(c);
-  EXPECT_EQ(a.count(), 1u);
-}
-
-TEST(SummaryStatsTest, ResetClears) {
-  SummaryStats s;
-  s.Add(1);
-  s.Reset();
-  EXPECT_EQ(s.count(), 0u);
-}
 
 TEST(SamplesTest, ExactPercentiles) {
   Samples s;
@@ -97,33 +36,6 @@ TEST(SamplesTest, MinMaxMeanSum) {
 TEST(SamplesDeathTest, PercentileOfEmptyAborts) {
   Samples s;
   EXPECT_DEATH(s.Percentile(50), "Check failed");
-}
-
-TEST(HistogramTest, BucketBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.BucketOf(0.0), 0u);
-  EXPECT_EQ(h.BucketOf(1.99), 0u);
-  EXPECT_EQ(h.BucketOf(2.0), 1u);
-  EXPECT_EQ(h.BucketOf(9.99), 4u);
-  // Out-of-range clamps.
-  EXPECT_EQ(h.BucketOf(-5.0), 0u);
-  EXPECT_EQ(h.BucketOf(50.0), 4u);
-}
-
-TEST(HistogramTest, CountsAccumulate) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(1.0);
-  h.Add(1.5);
-  h.Add(9.0);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(HistogramTest, BucketEdgesReported) {
-  Histogram h(10.0, 20.0, 2);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 15.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 20.0);
 }
 
 TEST(NormalizeToUnitTest, MapsToUnitInterval) {

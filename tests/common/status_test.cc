@@ -13,84 +13,28 @@ TEST(StatusTest, DefaultIsOk) {
 }
 
 TEST(StatusTest, FactoryFunctionsSetCodeAndMessage) {
+  EXPECT_EQ(Status::Ok().code(), StatusCode::kOk);
   EXPECT_EQ(Status::InvalidArgument("bad").code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Status::NotFound("x").code(), StatusCode::kNotFound);
-  EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(Status::FailedPrecondition("x").code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(Status::ResourceExhausted("x").code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::InvalidArgument("bad").message(), "bad");
-  EXPECT_FALSE(Status::Internal("x").ok());
+  EXPECT_FALSE(Status::InvalidArgument("x").ok());
 }
 
 TEST(StatusTest, ToStringIncludesCodeNameAndMessage) {
-  EXPECT_EQ(Status::NotFound("missing token").ToString(),
-            "NotFound: missing token");
+  EXPECT_EQ(Status::InvalidArgument("missing token").ToString(),
+            "InvalidArgument: missing token");
 }
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
-  EXPECT_EQ(Status::NotFound("a"), Status::NotFound("a"));
-  EXPECT_FALSE(Status::NotFound("a") == Status::NotFound("b"));
-  EXPECT_FALSE(Status::NotFound("a") == Status::Internal("a"));
+  EXPECT_EQ(Status::InvalidArgument("a"), Status::InvalidArgument("a"));
+  EXPECT_FALSE(Status::InvalidArgument("a") == Status::InvalidArgument("b"));
+  EXPECT_FALSE(Status::InvalidArgument("") == Status::Ok());
 }
 
 TEST(StatusTest, StatusCodeNamesAreStable) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kOk), "OK");
   EXPECT_STREQ(StatusCodeName(StatusCode::kInvalidArgument),
                "InvalidArgument");
-  EXPECT_STREQ(StatusCodeName(StatusCode::kResourceExhausted),
-               "ResourceExhausted");
-}
-
-TEST(StatusTest, ReturnIfErrorPropagates) {
-  auto fails = [] { return Status::Internal("boom"); };
-  auto wrapper = [&]() -> Status {
-    FELA_RETURN_IF_ERROR(fails());
-    return Status::Ok();
-  };
-  EXPECT_EQ(wrapper().code(), StatusCode::kInternal);
-
-  auto succeeds = [] { return Status::Ok(); };
-  auto wrapper2 = [&]() -> Status {
-    FELA_RETURN_IF_ERROR(succeeds());
-    return Status::NotFound("end");
-  };
-  EXPECT_EQ(wrapper2().code(), StatusCode::kNotFound);
-}
-
-TEST(ResultTest, HoldsValue) {
-  Result<int> r = 42;
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 42);
-  EXPECT_EQ(*r, 42);
-  EXPECT_TRUE(r.status().ok());
-}
-
-TEST(ResultTest, HoldsError) {
-  Result<int> r = Status::NotFound("no");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(r.value_or(-1), -1);
-}
-
-TEST(ResultTest, ValueOrReturnsValueWhenOk) {
-  Result<std::string> r = std::string("hello");
-  EXPECT_EQ(r.value_or("fallback"), "hello");
-}
-
-TEST(ResultTest, ArrowOperatorWorks) {
-  Result<std::string> r = std::string("abc");
-  EXPECT_EQ(r->size(), 3u);
-}
-
-TEST(ResultTest, MutableAccess) {
-  Result<std::vector<int>> r = std::vector<int>{1, 2};
-  r->push_back(3);
-  EXPECT_EQ(r.value().size(), 3u);
 }
 
 }  // namespace

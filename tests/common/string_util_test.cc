@@ -47,18 +47,5 @@ TEST(SplitTest, NoSeparator) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(StripWhitespaceTest, StripsBothEnds) {
-  EXPECT_EQ(StripWhitespace("  a b \t\n"), "a b");
-  EXPECT_EQ(StripWhitespace(""), "");
-  EXPECT_EQ(StripWhitespace(" \t "), "");
-}
-
-TEST(StartsEndsWithTest, Basics) {
-  EXPECT_TRUE(StartsWith("fela_core", "fela"));
-  EXPECT_FALSE(StartsWith("fela", "fela_core"));
-  EXPECT_TRUE(EndsWith("token_server.cc", ".cc"));
-  EXPECT_FALSE(EndsWith("cc", "token.cc"));
-}
-
 }  // namespace
 }  // namespace fela::common

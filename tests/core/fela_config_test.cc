@@ -175,6 +175,8 @@ TEST(ValidatePlanInputsTest, RejectsBadTotalBatch) {
   EXPECT_FALSE(ValidatePlanInputs(model::zoo::Vgg19(), sub, cfg,
                                   std::numeric_limits<double>::quiet_NaN(), 8)
                    .ok());
+  EXPECT_FALSE(ValidatePlanInputs(model::zoo::Vgg19(), sub, cfg, 1e300, 8)
+                   .ok());
 }
 
 TEST(ValidatePlanInputsTest, RejectsEmptyPartition) {

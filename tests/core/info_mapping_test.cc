@@ -5,22 +5,12 @@
 namespace fela::core {
 namespace {
 
-TEST(InfoMappingTest, RecordsAssignments) {
-  InfoMapping info;
-  info.RecordAssigned(5, 2);
-  EXPECT_EQ(info.AssigneeOf(5), 2);
-  EXPECT_EQ(info.AssigneeOf(6), -1);
-  EXPECT_FALSE(info.IsCompleted(5));
-  EXPECT_EQ(info.HolderOf(5), -1);
-}
-
 TEST(InfoMappingTest, CompletionMovesToHolder) {
   InfoMapping info;
-  info.RecordAssigned(5, 2);
+  EXPECT_EQ(info.HolderOf(5), -1);
   info.RecordCompleted(5, 2);
-  EXPECT_TRUE(info.IsCompleted(5));
   EXPECT_EQ(info.HolderOf(5), 2);
-  EXPECT_EQ(info.AssigneeOf(5), -1);
+  EXPECT_EQ(info.HolderOf(6), -1);
   EXPECT_EQ(info.completed_count(), 1u);
 }
 
@@ -78,11 +68,9 @@ TEST(InfoMappingTest, LocalityScoreWithTokenDeps) {
 
 TEST(InfoMappingTest, ResetClearsEverything) {
   InfoMapping info;
-  info.RecordAssigned(1, 0);
   info.RecordCompleted(2, 0);
   info.Reset();
   EXPECT_EQ(info.HolderOf(2), -1);
-  EXPECT_EQ(info.AssigneeOf(1), -1);
   EXPECT_TRUE(info.CompletedBy(0).empty());
   EXPECT_EQ(info.completed_count(), 0u);
 }

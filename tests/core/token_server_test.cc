@@ -301,12 +301,15 @@ TEST(TokenServerTest, SecondIterationReusesServer) {
   }
 }
 
-TEST(TokenServerTest, GrantRecordsAssignmentInInfoMapping) {
+TEST(TokenServerTest, GrantIsLeasedToItsWorker) {
   TokenServerHarness h(PaperConfig());
   h.ts().BeginIteration(0);
   h.ts().HandleRequest(2);
   auto [w, g] = h.PopGrant();
-  EXPECT_EQ(h.ts().info().AssigneeOf(g.token.id), 2);
+  const auto cp = h.ts().MakeShardLeaseCheckpoint(h.ts().ShardOfWorker(2));
+  ASSERT_EQ(cp.leases.size(), 1u);
+  EXPECT_EQ(cp.leases[0].first.id, g.token.id);
+  EXPECT_EQ(cp.leases[0].second, 2);
 }
 
 TEST(TokenServerTest, ReportForWrongIterationCountedAndDropped) {

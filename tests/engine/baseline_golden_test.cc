@@ -165,7 +165,7 @@ FaultFactory FailStopAt715(std::vector<int> workers) {
 }
 
 FaultFactory FaultsFor(Scenario s) {
-  return s == Scenario::kFailStop ? FailStopAt715({5}) : NoFaultFactory();
+  return s == Scenario::kFailStop ? FailStopAt715({5}) : FaultFactory();
 }
 
 ExperimentSpec SpecFor(Scenario s) {

@@ -122,44 +122,6 @@ TEST(SubModelsForRangesDeathTest, RejectsGapsAndBadCoverage) {
                "Check failed");
 }
 
-TEST(BalancedFlopsPartitionTest, CoversModelContiguously) {
-  Model m = zoo::Vgg19();
-  const auto ranges = BalancedFlopsPartition(m, 8);
-  ASSERT_EQ(ranges.size(), 8u);
-  EXPECT_EQ(ranges.front().first, 0);
-  EXPECT_EQ(ranges.back().second, 18);
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].first, ranges[i - 1].second + 1);
-  }
-}
-
-TEST(BalancedFlopsPartitionTest, RoughlyBalanced) {
-  Model m = zoo::Vgg19();
-  const auto ranges = BalancedFlopsPartition(m, 4);
-  const double target = m.TotalFlopsPerSample() / 4;
-  for (const auto& [lo, hi] : ranges) {
-    const double f = m.FlopsPerSampleInRange(lo, hi);
-    EXPECT_LT(f, target * 2.2) << lo << ".." << hi;
-  }
-}
-
-TEST(BalancedFlopsPartitionTest, SingleStageIsWholeModel) {
-  Model m = zoo::GoogLeNet();
-  const auto ranges = BalancedFlopsPartition(m, 1);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], std::make_pair(0, 11));
-}
-
-TEST(BalancedFlopsPartitionTest, StagesEqualLayersDegenerate) {
-  Model m = zoo::GoogLeNet();
-  const auto ranges = BalancedFlopsPartition(m, 12);
-  ASSERT_EQ(ranges.size(), 12u);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(ranges[static_cast<size_t>(i)],
-              std::make_pair(i, i));
-  }
-}
-
 TEST(EqualLayerCountPartitionTest, EvenSplit) {
   Model m = zoo::GoogLeNet();  // 12 layers
   const auto ranges = EqualLayerCountPartition(m, 4);

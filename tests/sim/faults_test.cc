@@ -32,7 +32,7 @@ TEST(ScriptedCrashesTest, FailStopNeverRecovers) {
   ScriptedCrashes faults({CrashEvent{1, 3.0, kNeverTime}});
   EXPECT_TRUE(faults.IsDownAt(3.0, 1));
   EXPECT_TRUE(faults.IsDownAt(1e12, 1));
-  EXPECT_EQ(faults.NextUpAfter(4.0, 1), kNeverTime);
+  EXPECT_EQ(faults.NextReachableAfter(4.0, 1, 1), kNeverTime);
 }
 
 TEST(ScriptedCrashesTest, TransitionsCoverCrashAndRecover) {
@@ -45,14 +45,32 @@ TEST(ScriptedCrashesTest, TransitionsCoverCrashAndRecover) {
 }
 
 TEST(ScriptedCrashesTest, DerivedHelpers) {
+  // Anchored on the worker itself, reachability is just being up.
   ScriptedCrashes faults({CrashEvent{4, 5.0, 10.0}});
-  EXPECT_TRUE(faults.AnyDownDuring(0.0, 6.0, 4));
-  EXPECT_TRUE(faults.AnyDownDuring(6.0, 7.0, 4));
-  EXPECT_FALSE(faults.AnyDownDuring(0.0, 4.0, 4));
-  EXPECT_FALSE(faults.AnyDownDuring(10.0, 20.0, 4));
-  EXPECT_FALSE(faults.AnyDownDuring(0.0, 20.0, 5));
-  EXPECT_DOUBLE_EQ(faults.NextUpAfter(7.0, 4), 10.0);
-  EXPECT_DOUBLE_EQ(faults.NextUpAfter(2.0, 4), 2.0);  // already up
+  EXPECT_TRUE(faults.AnyUnreachableDuring(0.0, 6.0, 4, 4));
+  EXPECT_TRUE(faults.AnyUnreachableDuring(6.0, 7.0, 4, 4));
+  EXPECT_FALSE(faults.AnyUnreachableDuring(0.0, 4.0, 4, 4));
+  EXPECT_FALSE(faults.AnyUnreachableDuring(10.0, 20.0, 4, 4));
+  EXPECT_FALSE(faults.AnyUnreachableDuring(0.0, 20.0, 5, 5));
+  EXPECT_DOUBLE_EQ(faults.NextReachableAfter(7.0, 4, 4), 10.0);
+  EXPECT_DOUBLE_EQ(faults.NextReachableAfter(2.0, 4, 4), 2.0);  // already up
+}
+
+TEST(NetworkPartitionTest, CutWorkerIsUnreachableUntilTheHeal) {
+  // Workers 2 and 3 are cut off from the anchor (worker 0) during
+  // [5, 10); nobody is ever down.
+  NetworkPartition faults({PartitionEvent{5.0, 10.0, {2, 3}}});
+  EXPECT_FALSE(faults.AnyUnreachableDuring(0.0, 4.0, 2, 0));
+  EXPECT_TRUE(faults.AnyUnreachableDuring(0.0, 6.0, 2, 0));
+  EXPECT_TRUE(faults.AnyUnreachableDuring(6.0, 7.0, 2, 0));
+  EXPECT_TRUE(faults.AnyUnreachableDuring(9.999, 9.999, 2, 0));
+  EXPECT_FALSE(faults.AnyUnreachableDuring(10.0, 20.0, 2, 0));
+  EXPECT_DOUBLE_EQ(faults.NextReachableAfter(7.0, 2, 0), 10.0);
+  EXPECT_DOUBLE_EQ(faults.NextReachableAfter(2.0, 2, 0), 2.0);
+  // The same side of the cut, and the worker itself, stay reachable.
+  EXPECT_FALSE(faults.AnyUnreachableDuring(0.0, 20.0, 2, 3));
+  EXPECT_FALSE(faults.AnyUnreachableDuring(0.0, 20.0, 2, 2));
+  EXPECT_DOUBLE_EQ(faults.NextReachableAfter(7.0, 2, 2), 7.0);
 }
 
 TEST(RandomCrashesTest, DeterministicInSeed) {

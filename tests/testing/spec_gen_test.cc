@@ -15,6 +15,7 @@
 
 #include "common/json.h"
 #include "core/fela_config.h"
+#include "sim/types.h"
 
 namespace fela::testing {
 namespace {
@@ -148,6 +149,8 @@ TEST(SpecGenTest, SpecFromJsonRejectsBadDocuments) {
       {"fela_ctd_subset", 0.5, "fela_ctd_subset"},
       {"rack_size", -1e300, "rack_size"},
       {"total_batch", 0, "total_batch"},
+      {"total_batch", 1e300, "total_batch"},
+      {"total_batch", sim::kMaxInputBatch + 1, "total_batch"},
       {"seed", -1, "seed"},
       {"seed", "99999999999999999999", "seed"},
       {"straggler_delay_sec", -1, "straggler_delay_sec"},
