@@ -1,7 +1,10 @@
 #include "common/tokenize.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <system_error>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -10,9 +13,9 @@ namespace fela::common {
 namespace {
 
 /// Runs one complete printf spec against one value. The spec is built
-/// here from vetted pieces, never from user input.
+/// at compile time from vetted pieces, never from user input.
 template <typename T>
-void AppendOne(std::string* out, const std::string& spec, T value) {
+void AppendPrintf(std::string* out, const std::string& spec, T value) {
   char buf[128];
   const int n = std::snprintf(buf, sizeof(buf), spec.c_str(), value);
   if (n < 0) return;
@@ -40,21 +43,42 @@ bool IsLengthMod(char c) {
   return c == 'l' || c == 'h' || c == 'z' || c == 'j' || c == 't' || c == 'L';
 }
 
+bool IsFlag(char c) {
+  return c == '-' || c == '+' || c == ' ' || c == '#' || c == '0';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+std::chars_format FormatOf(char conv) {
+  switch (conv) {
+    case 'e':
+      return std::chars_format::scientific;
+    case 'f':
+      return std::chars_format::fixed;
+    default:
+      return std::chars_format::general;
+  }
+}
+
 }  // namespace
 
-std::string DetokFormat(const std::string& fmt, const TokArgs& args) {
-  std::string out;
-  int next_arg = 0;
+CompiledFormat::CompiledFormat(std::string_view fmt) {
+  std::string literal;
+  const auto flush = [&] {
+    if (literal.empty()) return;
+    Piece run;
+    run.text = std::move(literal);
+    pieces_.push_back(std::move(run));
+    literal.clear();
+  };
   size_t i = 0;
   while (i < fmt.size()) {
-    const char c = fmt[i];
-    if (c != '%') {
-      out += c;
-      ++i;
+    if (fmt[i] != '%') {
+      literal += fmt[i++];
       continue;
     }
     if (i + 1 < fmt.size() && fmt[i + 1] == '%') {
-      out += '%';
+      literal += '%';
       i += 2;
       continue;
     }
@@ -63,55 +87,105 @@ std::string DetokFormat(const std::string& fmt, const TokArgs& args) {
     // at 64-bit width (same digits for every value the original width
     // could hold).
     size_t j = i + 1;
-    std::string flags_width;
-    while (j < fmt.size() && (fmt[j] == '-' || fmt[j] == '+' ||
-                              fmt[j] == ' ' || fmt[j] == '#' ||
-                              fmt[j] == '0')) {
-      flags_width += fmt[j++];
-    }
-    while (j < fmt.size() &&
-           std::isdigit(static_cast<unsigned char>(fmt[j])) != 0) {
-      flags_width += fmt[j++];
-    }
+    while (j < fmt.size() && IsFlag(fmt[j])) ++j;
+    while (j < fmt.size() && IsDigit(fmt[j])) ++j;
+    const bool bare = j == i + 1;  // no flag and no width
+    const size_t dot = j;
     if (j < fmt.size() && fmt[j] == '.') {
-      flags_width += fmt[j++];
-      while (j < fmt.size() &&
-             std::isdigit(static_cast<unsigned char>(fmt[j])) != 0) {
-        flags_width += fmt[j++];
-      }
+      ++j;
+      while (j < fmt.size() && IsDigit(fmt[j])) ++j;
     }
+    const bool has_precision = j > dot;
+    // Its digits; none after the '.' means 0, as in printf.
+    const std::string_view precision =
+        has_precision ? fmt.substr(dot + 1, j - dot - 1) : std::string_view();
+    const std::string_view flags_width = fmt.substr(i + 1, j - i - 1);
     while (j < fmt.size() && IsLengthMod(fmt[j])) ++j;
     if (j >= fmt.size()) {
-      out.append(fmt, i, fmt.size() - i);  // dangling '%...' at the end
+      literal.append(fmt.substr(i));  // dangling '%...' at the end
       break;
     }
     const char conv = fmt[j];
-    if ((!IsIntegerConv(conv) && !IsFloatConv(conv)) ||
-        next_arg >= args.count) {
-      // %s/%p/%n, or more specs than packed args: surface the spec
-      // verbatim rather than invent bytes.
-      out.append(fmt, i, j - i + 1);
-      i = j + 1;
+    const std::string_view written = fmt.substr(i, j - i + 1);
+    i = j + 1;
+    if (!IsIntegerConv(conv) && !IsFloatConv(conv)) {
+      literal.append(written);  // %s/%p/%n: never filled
+      continue;
+    }
+    flush();
+    Piece p;
+    p.conv = conv;
+    p.text = written;
+    p.spec = "%";
+    p.spec += flags_width;
+    if (conv == 'c') {
+      p.spec += 'c';
+    } else if (IsIntegerConv(conv)) {
+      p.spec += "ll";
+      p.spec += conv;
+      p.to_chars =
+          bare && !has_precision && (conv == 'd' || conv == 'i' || conv == 'u');
+    } else {
+      p.spec += conv;
+      // Two digits keep the precision small enough for to_chars's buffer
+      // on most values; a larger one goes through snprintf.
+      p.to_chars = bare && (conv == 'e' || conv == 'f' || conv == 'g') &&
+                   precision.size() <= 2;
+      if (p.to_chars && has_precision) {
+        p.precision = 0;
+        for (const char d : precision) {
+          p.precision = p.precision * 10 + (d - '0');
+        }
+      }
+    }
+    pieces_.push_back(std::move(p));
+  }
+  flush();
+}
+
+void CompiledFormat::AppendTo(const TokArgs& args, std::string* out) const {
+  // Never read past the four slots, whatever the count claims.
+  const int count = std::min<int>(args.count, 4);
+  int next_arg = 0;
+  for (const Piece& p : pieces_) {
+    if (p.conv == 0 || next_arg >= count) {
+      // A literal run, or more specs than packed args: the spec shows
+      // verbatim.
+      out->append(p.text);
       continue;
     }
     const uint64_t bits = args.values[next_arg];
     const TokArgType type = args.type(next_arg);
     ++next_arg;
-    if (conv == 'c') {
-      AppendOne(&out, "%" + flags_width + "c",
-                static_cast<int>(static_cast<int64_t>(bits)));
-    } else if (IsIntegerConv(conv)) {
-      const std::string spec = "%" + flags_width + "ll" + conv;
+    if (p.conv == 'c') {
+      AppendPrintf(out, p.spec, static_cast<int>(static_cast<int64_t>(bits)));
+    } else if (IsIntegerConv(p.conv)) {
+      uint64_t value = bits;
       if (type == TokArgType::kDouble) {
-        AppendOne(&out, spec,
-                  static_cast<long long>(std::bit_cast<double>(bits)));
-      } else if (conv == 'd' || conv == 'i') {
-        AppendOne(&out, spec, static_cast<long long>(bits));
+        // Converting a NaN or a double outside long long's range is
+        // undefined, and no digits would be right: show the spec.
+        const double d = std::bit_cast<double>(bits);
+        if (!(d >= -0x1p63 && d < 0x1p63)) {
+          out->append(p.text);
+          continue;
+        }
+        value = static_cast<uint64_t>(static_cast<long long>(d));
+      }
+      const bool is_signed = p.conv == 'd' || p.conv == 'i';
+      if (p.to_chars) {
+        char buf[24];
+        const std::to_chars_result r =
+            is_signed ? std::to_chars(buf, buf + sizeof(buf),
+                                      static_cast<long long>(value))
+                      : std::to_chars(buf, buf + sizeof(buf),
+                                      static_cast<unsigned long long>(value));
+        out->append(buf, r.ptr);
+      } else if (is_signed) {
+        AppendPrintf(out, p.spec, static_cast<long long>(value));
       } else {
-        AppendOne(&out, spec, static_cast<unsigned long long>(bits));
+        AppendPrintf(out, p.spec, static_cast<unsigned long long>(value));
       }
     } else {
-      const std::string spec = "%" + flags_width + conv;
       double value = 0.0;
       switch (type) {
         case TokArgType::kDouble:
@@ -124,10 +198,53 @@ std::string DetokFormat(const std::string& fmt, const TokArgs& args) {
           value = static_cast<double>(bits);
           break;
       }
-      AppendOne(&out, spec, value);
+      if (p.to_chars) {
+        // The standard defines this overload as printf's %.<precision>
+        // of the same letter. Only a value too wide for the buffer
+        // falls through to snprintf.
+        char buf[128];
+        const std::to_chars_result r = std::to_chars(
+            buf, buf + sizeof(buf), value, FormatOf(p.conv), p.precision);
+        if (r.ec == std::errc()) {
+          out->append(buf, r.ptr);
+          continue;
+        }
+      }
+      AppendPrintf(out, p.spec, value);
     }
-    i = j + 1;
   }
+}
+
+std::string DetokFormat(const std::string& fmt, const TokArgs& args) {
+  std::string out;
+  CompiledFormat(fmt).AppendTo(args, &out);
+  return out;
+}
+
+Detokenizer::Detokenizer(const TokenRegistry* registry)
+    : registry_(registry != nullptr ? *registry : TokenRegistry::Global()) {}
+
+void Detokenizer::Append(const TokenizedDetail& detail, std::string* out) {
+  if (detail.empty()) return;
+  auto it = formats_.find(detail.token);
+  if (it == formats_.end()) {
+    const std::string* fmt = registry_.Find(detail.token);
+    // An unknown token compiles to its marker, a literal with no '%'.
+    it = formats_
+             .emplace(detail.token,
+                      CompiledFormat(fmt != nullptr
+                                         ? *fmt
+                                         : StrFormat("<token %08x?>",
+                                                     detail.token)))
+             .first;
+  }
+  it->second.AppendTo(detail.args, out);
+}
+
+std::string Detokenize(const TokenizedDetail& detail,
+                       const TokenRegistry* registry) {
+  std::string out;
+  Detokenizer(registry).Append(detail, &out);
   return out;
 }
 
@@ -164,16 +281,6 @@ size_t TokenRegistry::size() const {
 TokenRegistry& TokenRegistry::Global() {
   static TokenRegistry* registry = new TokenRegistry();
   return *registry;
-}
-
-std::string Detokenize(const TokenizedDetail& detail,
-                       const TokenRegistry* registry) {
-  if (detail.empty()) return std::string();
-  const TokenRegistry& reg =
-      registry != nullptr ? *registry : TokenRegistry::Global();
-  const std::string* fmt = reg.Find(detail.token);
-  if (fmt == nullptr) return StrFormat("<token %08x?>", detail.token);
-  return DetokFormat(*fmt, detail.args);
 }
 
 std::string TokenDbCsv(const TokenRegistry& registry) {

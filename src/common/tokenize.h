@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -124,17 +125,65 @@ class TokenRegistry {
   std::map<uint32_t, std::string> entries_ FELA_GUARDED_BY(mu_);
 };
 
-/// Renders `fmt` with the packed args, byte-identical to what the
-/// original printf-family call would have produced: integer conversions
-/// are re-run at 64-bit width (`%d` -> `%lld` etc. — same digits for
-/// every in-range value), floats as double. `%%` passes through; `%s`
-/// and other non-packable conversions render as their literal spec text
-/// (fela-tokendb rejects them at build time).
+/// One format string compiled for rendering: its literal runs (`%%`
+/// already unescaped) and its conversions, each holding the 64-bit
+/// printf spec it runs at. Compiling is the only pass over the format's
+/// text, so a format rendered many times is parsed once.
+class CompiledFormat {
+ public:
+  explicit CompiledFormat(std::string_view fmt);
+
+  /// Appends the format rendered with `args` to `out`, byte-identical to
+  /// what the original printf-family call would have produced: integer
+  /// conversions run at 64-bit width (`%d` -> `%lld` etc., the same
+  /// digits for every in-range value), floats as double. A %d, %i or %u
+  /// with no flag, width or precision, and a %e, %f or %g with no flag,
+  /// no width and at most two precision digits, go through
+  /// std::to_chars, which prints what printf prints for them; every
+  /// other spec, and a value too wide for to_chars's buffer, runs
+  /// through snprintf. `%s` and other non-packable conversions
+  /// (fela-tokendb rejects them at build time), specs beyond the packed
+  /// args, and a NaN or a double outside [-2^63, 2^63) under an integer
+  /// conversion render as their spec text, rather than invent bytes.
+  void AppendTo(const TokArgs& args, std::string* out) const;
+
+ private:
+  struct Piece {
+    char conv = 0;          // 0: a literal run; else the conversion letter
+    bool to_chars = false;  // std::to_chars prints it (see AppendTo)
+    int precision = 6;      // the precision %e %f %g print at
+    std::string text;       // the literal bytes, or the spec as written
+    std::string spec;       // the spec snprintf runs
+  };
+  std::vector<Piece> pieces_;
+};
+
+/// Renders `fmt` with the packed args (see CompiledFormat::AppendTo).
 std::string DetokFormat(const std::string& fmt, const TokArgs& args);
 
-/// Renders a stored detail via `registry` (the process-global one when
-/// null). An empty detail renders as ""; an unknown token renders as
-/// "<token %08x?>" so a stale tokens.csv is visible, not silent.
+/// Renders stored details against one registry, compiling each token's
+/// format the first time the token is seen. A document with tens of
+/// thousands of details but a few dozen distinct tokens takes the
+/// registry's lock and parses a format a few dozen times. It holds no
+/// global state: one instance serves one document on one thread, so
+/// concurrent exports each keep their own.
+class Detokenizer {
+ public:
+  /// Reads `registry` (the process-global one when null), which must
+  /// outlive the Detokenizer.
+  explicit Detokenizer(const TokenRegistry* registry = nullptr);
+
+  /// Appends `detail`'s text to `out`: nothing for an empty detail, and
+  /// "<token %08x?>" for a token the registry does not know, so a stale
+  /// tokens.csv is visible, not silent.
+  void Append(const TokenizedDetail& detail, std::string* out);
+
+ private:
+  const TokenRegistry& registry_;
+  std::unordered_map<uint32_t, CompiledFormat> formats_;
+};
+
+/// Renders one stored detail through a Detokenizer of its own.
 std::string Detokenize(const TokenizedDetail& detail,
                        const TokenRegistry* registry = nullptr);
 

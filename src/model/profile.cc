@@ -66,10 +66,4 @@ double HeuristicThreshold(const Layer& layer) {
   return 16.0;
 }
 
-double RoundUpPow2(double v) {
-  double p = 1.0;
-  while (p < v) p *= 2.0;
-  return p;
-}
-
 }  // namespace fela::model

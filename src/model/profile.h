@@ -43,9 +43,6 @@ class ProfileRepository {
 /// FC layers saturate only at very large batches (2048 for 4096x4096).
 double HeuristicThreshold(const Layer& layer);
 
-/// Rounds up to the next power of two (minimum 1).
-double RoundUpPow2(double v);
-
 }  // namespace fela::model
 
 #endif  // FELA_MODEL_PROFILE_H_

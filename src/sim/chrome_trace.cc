@@ -1,6 +1,7 @@
 #include "sim/chrome_trace.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/json.h"
 #include "common/string_util.h"
@@ -11,6 +12,26 @@ namespace {
 
 constexpr double kSecToMicro = 1e6;
 constexpr int kIndent = 1;  // Json::Dump(1)'s layout
+
+// The constant bytes of the span ("X") and instant ("i") records, which
+// sit at a fixed depth (items of "traceEvents"): each run holds the
+// separators, indentation and keys Json::Dump(1) prints between two
+// values. ChromeTraceWriterTest holds every record shape to Dump.
+constexpr std::string_view kRecordOpen = "{\n   \"name\": ";
+constexpr std::string_view kSpanTs =
+    ",\n   \"cat\": \"span\",\n   \"ph\": \"X\",\n   \"ts\": ";
+constexpr std::string_view kSpanDur = ",\n   \"dur\": ";
+constexpr std::string_view kSpanArgs = ",\n   \"args\": ";
+constexpr std::string_view kInstantTs =
+    ",\n   \"cat\": \"event\",\n   \"ph\": \"i\",\n   \"ts\": ";
+constexpr std::string_view kInstantArgs = ",\n   \"s\": \"t\",\n   \"args\": ";
+constexpr std::string_view kTid = ",\n   \"pid\": 0,\n   \"tid\": ";
+constexpr std::string_view kNoArgs = "{}";
+constexpr std::string_view kIterationArg = "{\n    \"iteration\": ";
+constexpr std::string_view kFirstDetailArg = "{\n    \"detail\": ";
+constexpr std::string_view kNextDetailArg = ",\n    \"detail\": ";
+constexpr std::string_view kArgsClose = "\n   }";
+constexpr std::string_view kRecordClose = "\n  }";
 
 std::string TrackName(int track, int num_workers) {
   if (track >= num_workers) return "token-server";
@@ -61,39 +82,59 @@ std::string WriteChromeTrace(const std::vector<Span>& spans,
     ThreadNameRow(&list, *t, num_workers);
   }
 
+  common::Detokenizer detok(registry);
+  std::string detail;  // one buffer for every record's rendered detail
   for (const Span& s : spans) {
-    common::JsonScope e = list.OpenItem('{');
-    e.Member("name", PhaseName(s.phase));
-    e.Member("cat", "span");
-    e.Member("ph", "X");
-    e.Member("ts", s.begin * kSecToMicro);
-    e.Member("dur", std::max(0.0, s.duration()) * kSecToMicro);
-    e.Member("pid", 0);
-    e.Member("tid", s.track);
-    common::JsonScope args = e.OpenMember("args", '{');
-    if (s.iteration >= 0) args.Member("iteration", s.iteration);
-    if (!s.detail.empty()) {
-      args.Member("detail", common::Detokenize(s.detail, registry));
+    list.Item();
+    out += kRecordOpen;
+    common::Json::AppendQuoted(&out, PhaseName(s.phase));
+    out += kSpanTs;
+    common::Json::AppendNumber(&out, s.begin * kSecToMicro);
+    out += kSpanDur;
+    common::Json::AppendNumber(&out, std::max(0.0, s.duration()) * kSecToMicro);
+    out += kTid;
+    common::Json::AppendNumber(&out, s.track);
+    out += kSpanArgs;
+    const bool has_iteration = s.iteration >= 0;
+    if (!has_iteration && s.detail.empty()) {
+      out += kNoArgs;
+    } else {
+      if (has_iteration) {
+        out += kIterationArg;
+        common::Json::AppendNumber(&out, s.iteration);
+      }
+      if (!s.detail.empty()) {
+        out += has_iteration ? kNextDetailArg : kFirstDetailArg;
+        detail.clear();
+        detok.Append(s.detail, &detail);
+        common::Json::AppendQuoted(&out, detail);
+      }
+      out += kArgsClose;
     }
-    args.Close();
-    e.Close();
+    out += kRecordClose;
   }
 
   if (has_trace) {
     for (const sim::TraceRecord& r : events) {
-      common::JsonScope e = list.OpenItem('{');
-      e.Member("name", sim::TraceKindName(static_cast<sim::TraceKind>(r.kind)));
-      e.Member("cat", "event");
-      e.Member("ph", "i");
-      e.Member("ts", r.time * kSecToMicro);
-      e.Member("pid", 0);
-      e.Member("tid", r.node);
-      e.Member("s", "t");  // thread-scoped instant marker
-      common::JsonScope args = e.OpenMember("args", '{');
-      const std::string detail = sim::RenderTraceDetail(r, registry);
-      if (!detail.empty()) args.Member("detail", detail);
-      args.Close();
-      e.Close();
+      list.Item();
+      out += kRecordOpen;
+      common::Json::AppendQuoted(
+          &out, sim::TraceKindName(static_cast<sim::TraceKind>(r.kind)));
+      out += kInstantTs;
+      common::Json::AppendNumber(&out, r.time * kSecToMicro);
+      out += kTid;
+      common::Json::AppendNumber(&out, r.node);
+      out += kInstantArgs;  // "s": "t" marks a thread-scoped instant
+      detail.clear();
+      detok.Append(r.detail(), &detail);
+      if (detail.empty()) {
+        out += kNoArgs;
+      } else {
+        out += kFirstDetailArg;
+        common::Json::AppendQuoted(&out, detail);
+        out += kArgsClose;
+      }
+      out += kRecordClose;
     }
   }
   list.Close();

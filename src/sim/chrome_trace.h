@@ -28,7 +28,9 @@ std::string ChromeTraceString(const SpanSink& spans,
 /// (RenderChromeTrace, tools/fela-detok) call, so their outputs are
 /// byte-identical. It appends the bytes straight to the result, in the
 /// layout common::Json::Dump(1) prints. Details are detokenized through
-/// `registry` (the process-global one when null); `has_trace` mirrors
+/// `registry` (the process-global one when null) by one
+/// common::Detokenizer, which compiles each distinct token's format once
+/// per document; `has_trace` mirrors
 /// "was a TraceRecorder attached" (it controls the trace_events_dropped
 /// field even when no events were recorded).
 std::string WriteChromeTrace(const std::vector<Span>& spans,

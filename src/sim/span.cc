@@ -36,12 +36,13 @@ void SpanSink::Emit(const Span& span) {
 }
 
 std::vector<Span> SpanSink::spans() const {
+  // next_ is the oldest slot once the ring has wrapped.
+  const auto oldest = spans_.begin() +
+                      static_cast<std::ptrdiff_t>(dropped_ > 0 ? next_ : 0);
   std::vector<Span> ordered;
   ordered.reserve(spans_.size());
-  const size_t start = dropped_ > 0 ? next_ : 0;
-  for (size_t i = 0; i < spans_.size(); ++i) {
-    ordered.push_back(spans_[(start + i) % spans_.size()]);
-  }
+  ordered.insert(ordered.end(), oldest, spans_.end());
+  ordered.insert(ordered.end(), spans_.begin(), oldest);
   return ordered;
 }
 

@@ -85,36 +85,41 @@ void TraceRecorder::Record(SimTime time, NodeId node, TraceKind kind,
   ++dropped_;
 }
 
+common::TokenizedDetail TraceRecord::detail() const {
+  common::TokenizedDetail detail;
+  detail.token = token;
+  detail.args.count = arg_count;
+  detail.args.types = arg_types;
+  for (int i = 0; i < 4; ++i) detail.args.values[i] = args[i];
+  return detail;
+}
+
 std::string RenderTraceDetail(const TraceRecord& record,
                               const common::TokenRegistry* registry) {
-  common::TokenizedDetail detail;
-  detail.token = record.token;
-  detail.args.count = record.arg_count;
-  detail.args.types = record.arg_types;
-  for (int i = 0; i < 4; ++i) detail.args.values[i] = record.args[i];
-  return common::Detokenize(detail, registry);
+  return common::Detokenize(record.detail(), registry);
 }
 
 std::vector<TraceEvent> TraceRecorder::events() const {
   std::vector<TraceEvent> ordered;
   ordered.reserve(records_.size());
+  common::Detokenizer detok;
   for (const TraceRecord& r : records()) {
-    ordered.push_back(TraceEvent{r.time, r.node,
-                                 static_cast<TraceKind>(r.kind),
-                                 RenderTraceDetail(r)});
+    TraceEvent& e = ordered.emplace_back(
+        TraceEvent{r.time, r.node, static_cast<TraceKind>(r.kind), {}});
+    detok.Append(r.detail(), &e.detail);
   }
   return ordered;
 }
 
 std::vector<TraceRecord> TraceRecorder::records() const {
-  std::vector<TraceRecord> ordered;
-  ordered.reserve(records_.size());
   // next_ is the oldest slot once the ring has wrapped (dropped_ > 0);
   // before wrapping the vector is already oldest-first from slot 0.
-  const size_t start = dropped_ > 0 ? next_ : 0;
-  for (size_t i = 0; i < records_.size(); ++i) {
-    ordered.push_back(records_[(start + i) % records_.size()]);
-  }
+  const auto oldest = records_.begin() +
+                      static_cast<std::ptrdiff_t>(dropped_ > 0 ? next_ : 0);
+  std::vector<TraceRecord> ordered;
+  ordered.reserve(records_.size());
+  ordered.insert(ordered.end(), oldest, records_.end());
+  ordered.insert(ordered.end(), records_.begin(), oldest);
   return ordered;
 }
 

@@ -70,6 +70,9 @@ struct TraceRecord {
   uint8_t kind = 0;
   uint8_t arg_count = 0;
   uint8_t arg_types = 0;
+
+  /// The detail these fields store (token 0: none).
+  common::TokenizedDetail detail() const;
 };
 
 /// Bounded in-memory recorder for scheduling timelines. Disabled by

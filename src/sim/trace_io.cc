@@ -1,5 +1,8 @@
 #include "sim/trace_io.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/binio.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -10,47 +13,78 @@ namespace fela::obs {
 
 namespace binio = ::fela::common;
 
+namespace {
+
+// Sizes of the FELATRB1 pieces (see trace_io.h): the header, a
+// section's count/dropped/capacity words, and one record of each kind.
+constexpr size_t kHeaderBytes = kBinaryTraceMagic.size() + 4 + 1;
+constexpr size_t kSectionBytes = 3 * 8;
+constexpr size_t kSpanBytes = 64;
+constexpr size_t kTraceRecordBytes = 52;
+
+// TokArgs holds four slots; a record claiming more is corrupt.
+constexpr uint8_t kMaxArgs = 4;
+
+void AppendSection(std::string* out, uint64_t count, uint64_t dropped,
+                   uint64_t capacity) {
+  binio::AppendU64(out, count);
+  binio::AppendU64(out, dropped);
+  binio::AppendU64(out, capacity);
+}
+
+}  // namespace
+
 std::string SerializeBinaryTrace(const SpanSink& spans,
                                  const sim::TraceRecorder* trace,
                                  int num_workers) {
   FELA_CHECK(num_workers >= 0 && num_workers <= sim::kMaxInputWorkers)
       << num_workers;
+  const std::vector<Span> ordered_spans = spans.spans();
+  const std::vector<sim::TraceRecord> records =
+      trace != nullptr ? trace->records() : std::vector<sim::TraceRecord>{};
   std::string out;
+  out.reserve(kHeaderBytes + kSectionBytes + kSpanBytes * ordered_spans.size() +
+              (trace != nullptr
+                   ? kSectionBytes + kTraceRecordBytes * records.size()
+                   : 0) +
+              kBinaryTraceTrailer.size());
   out += kBinaryTraceMagic;
   binio::AppendU32(&out, static_cast<uint32_t>(num_workers));
   binio::AppendU8(&out, trace != nullptr ? 1 : 0);
 
-  const std::vector<Span> ordered_spans = spans.spans();
-  binio::AppendU64(&out, ordered_spans.size());
-  binio::AppendU64(&out, spans.dropped());
-  binio::AppendU64(&out, spans.capacity());
+  AppendSection(&out, ordered_spans.size(), spans.dropped(), spans.capacity());
+  char span[kSpanBytes];
   for (const Span& s : ordered_spans) {
-    binio::AppendF64(&out, s.begin);
-    binio::AppendF64(&out, s.end);
-    for (int i = 0; i < 4; ++i) binio::AppendU64(&out, s.detail.args.values[i]);
-    binio::AppendI32(&out, s.track);
-    binio::AppendI32(&out, s.iteration);
-    binio::AppendU32(&out, s.detail.token);
-    binio::AppendU8(&out, static_cast<uint8_t>(s.phase));
-    binio::AppendU8(&out, s.detail.args.count);
-    binio::AppendU8(&out, s.detail.args.types);
-    binio::AppendU8(&out, 0);  // pad to 64 bytes
+    binio::StoreU64(span, std::bit_cast<uint64_t>(s.begin));
+    binio::StoreU64(span + 8, std::bit_cast<uint64_t>(s.end));
+    for (int a = 0; a < 4; ++a) {
+      binio::StoreU64(span + 16 + 8 * a, s.detail.args.values[a]);
+    }
+    binio::StoreU32(span + 48, static_cast<uint32_t>(s.track));
+    binio::StoreU32(span + 52, static_cast<uint32_t>(s.iteration));
+    binio::StoreU32(span + 56, s.detail.token);
+    span[60] = static_cast<char>(s.phase);
+    span[61] = static_cast<char>(s.detail.args.count);
+    span[62] = static_cast<char>(s.detail.args.types);
+    span[63] = 0;  // pad
+    out.append(span, sizeof(span));
   }
 
   if (trace != nullptr) {
-    const std::vector<sim::TraceRecord> records = trace->records();
-    binio::AppendU64(&out, records.size());
-    binio::AppendU64(&out, trace->dropped());
-    binio::AppendU64(&out, trace->capacity());
+    AppendSection(&out, records.size(), trace->dropped(), trace->capacity());
+    char record[kTraceRecordBytes];
     for (const sim::TraceRecord& r : records) {
-      binio::AppendF64(&out, r.time);
-      for (int a = 0; a < 4; ++a) binio::AppendU64(&out, r.args[a]);
-      binio::AppendI32(&out, r.node);
-      binio::AppendU32(&out, r.token);
-      binio::AppendU8(&out, r.kind);
-      binio::AppendU8(&out, r.arg_count);
-      binio::AppendU8(&out, r.arg_types);
-      binio::AppendU8(&out, 0);  // pad to 52 bytes
+      binio::StoreU64(record, std::bit_cast<uint64_t>(r.time));
+      for (int a = 0; a < 4; ++a) {
+        binio::StoreU64(record + 8 + 8 * a, r.args[a]);
+      }
+      binio::StoreU32(record + 40, static_cast<uint32_t>(r.node));
+      binio::StoreU32(record + 44, r.token);
+      record[48] = static_cast<char>(r.kind);
+      record[49] = static_cast<char>(r.arg_count);
+      record[50] = static_cast<char>(r.arg_types);
+      record[51] = 0;  // pad
+      out.append(record, sizeof(record));
     }
   }
 
@@ -60,12 +94,11 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
 
 namespace {
 
-// TokArgs holds four slots; a record claiming more is corrupt.
-constexpr uint8_t kMaxArgs = 4;
-
 // Reads the body after the header. Returns false on truncation, or at
 // the first record claiming more than kMaxArgs args (caller keeps what
-// parsed and marks the stream truncated).
+// parsed and marks the stream truncated). A count is reserved only up
+// to the records the input can hold, never what a corrupt header
+// claims.
 bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
   uint64_t span_count = 0;
   if (!binio::ReadU64(bytes, &pos, &span_count) ||
@@ -73,27 +106,25 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
       !binio::ReadU64(bytes, &pos, &out->span_capacity)) {
     return false;
   }
+  out->spans.reserve(static_cast<size_t>(
+      std::min<uint64_t>(span_count, (bytes.size() - pos) / kSpanBytes)));
   for (uint64_t i = 0; i < span_count; ++i) {
+    if (bytes.size() - pos < kSpanBytes) return false;
+    const char* span = bytes.data() + pos;
+    pos += kSpanBytes;
     Span s;
-    uint8_t phase = 0;
-    uint8_t pad = 0;
-    if (!binio::ReadF64(bytes, &pos, &s.begin) ||
-        !binio::ReadF64(bytes, &pos, &s.end) ||
-        !binio::ReadU64(bytes, &pos, &s.detail.args.values[0]) ||
-        !binio::ReadU64(bytes, &pos, &s.detail.args.values[1]) ||
-        !binio::ReadU64(bytes, &pos, &s.detail.args.values[2]) ||
-        !binio::ReadU64(bytes, &pos, &s.detail.args.values[3]) ||
-        !binio::ReadI32(bytes, &pos, &s.track) ||
-        !binio::ReadI32(bytes, &pos, &s.iteration) ||
-        !binio::ReadU32(bytes, &pos, &s.detail.token) ||
-        !binio::ReadU8(bytes, &pos, &phase) ||
-        !binio::ReadU8(bytes, &pos, &s.detail.args.count) ||
-        !binio::ReadU8(bytes, &pos, &s.detail.args.types) ||
-        !binio::ReadU8(bytes, &pos, &pad) ||
-        s.detail.args.count > kMaxArgs) {
-      return false;
+    s.begin = std::bit_cast<double>(binio::LoadU64(span));
+    s.end = std::bit_cast<double>(binio::LoadU64(span + 8));
+    for (int a = 0; a < 4; ++a) {
+      s.detail.args.values[a] = binio::LoadU64(span + 16 + 8 * a);
     }
-    s.phase = static_cast<Phase>(phase);
+    s.track = static_cast<int32_t>(binio::LoadU32(span + 48));
+    s.iteration = static_cast<int32_t>(binio::LoadU32(span + 52));
+    s.detail.token = binio::LoadU32(span + 56);
+    s.phase = static_cast<Phase>(static_cast<uint8_t>(span[60]));
+    s.detail.args.count = static_cast<uint8_t>(span[61]);
+    s.detail.args.types = static_cast<uint8_t>(span[62]);
+    if (s.detail.args.count > kMaxArgs) return false;
     out->spans.push_back(s);
   }
 
@@ -104,22 +135,23 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
         !binio::ReadU64(bytes, &pos, &out->trace_capacity)) {
       return false;
     }
+    out->events.reserve(static_cast<size_t>(std::min<uint64_t>(
+        trace_count, (bytes.size() - pos) / kTraceRecordBytes)));
     for (uint64_t i = 0; i < trace_count; ++i) {
+      if (bytes.size() - pos < kTraceRecordBytes) return false;
+      const char* record = bytes.data() + pos;
+      pos += kTraceRecordBytes;
       sim::TraceRecord r;
-      uint8_t pad = 0;
-      if (!binio::ReadF64(bytes, &pos, &r.time) ||
-          !binio::ReadU64(bytes, &pos, &r.args[0]) ||
-          !binio::ReadU64(bytes, &pos, &r.args[1]) ||
-          !binio::ReadU64(bytes, &pos, &r.args[2]) ||
-          !binio::ReadU64(bytes, &pos, &r.args[3]) ||
-          !binio::ReadI32(bytes, &pos, &r.node) ||
-          !binio::ReadU32(bytes, &pos, &r.token) ||
-          !binio::ReadU8(bytes, &pos, &r.kind) ||
-          !binio::ReadU8(bytes, &pos, &r.arg_count) ||
-          !binio::ReadU8(bytes, &pos, &r.arg_types) ||
-          !binio::ReadU8(bytes, &pos, &pad) || r.arg_count > kMaxArgs) {
-        return false;
+      r.time = std::bit_cast<double>(binio::LoadU64(record));
+      for (int a = 0; a < 4; ++a) {
+        r.args[a] = binio::LoadU64(record + 8 + 8 * a);
       }
+      r.node = static_cast<int32_t>(binio::LoadU32(record + 40));
+      r.token = binio::LoadU32(record + 44);
+      r.kind = static_cast<uint8_t>(record[48]);
+      r.arg_count = static_cast<uint8_t>(record[49]);
+      r.arg_types = static_cast<uint8_t>(record[50]);
+      if (r.arg_count > kMaxArgs) return false;
       out->events.push_back(r);
     }
   }
@@ -167,10 +199,13 @@ std::string RenderTraceText(const BinaryTraceData& data,
     sim::AppendTraceDroppedHeader(&out, data.trace_dropped,
                                   data.trace_capacity);
   }
+  common::Detokenizer detok(registry);
+  std::string detail;
   for (const sim::TraceRecord& r : data.events) {
+    detail.clear();
+    detok.Append(r.detail(), &detail);
     sim::AppendTraceLine(&out, r.time, r.node,
-                         static_cast<sim::TraceKind>(r.kind),
-                         sim::RenderTraceDetail(r, registry));
+                         static_cast<sim::TraceKind>(r.kind), detail);
   }
   if (data.truncated) out += "<truncated binary trace: end of stream>\n";
   return out;

@@ -75,7 +75,8 @@ bool ParseBinaryTrace(std::string_view bytes, BinaryTraceData* out,
 
 /// Re-renders the trace-event timeline text, byte-identical to what
 /// TraceRecorder::ToString() produced in-process (given the same token
-/// registry), plus a trailing end-of-stream marker when truncated.
+/// registry), plus a trailing end-of-stream marker when truncated. One
+/// common::Detokenizer renders every detail.
 std::string RenderTraceText(const BinaryTraceData& data,
                             const common::TokenRegistry* registry = nullptr);
 

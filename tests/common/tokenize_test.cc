@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/string_util.h"
 
 namespace fela::common {
@@ -103,11 +109,101 @@ TEST(DetokFormatTest, UnpackableSpecsSurfaceVerbatim) {
   EXPECT_EQ(Detok("dangling %"), "dangling %");
 }
 
+TEST(DetokFormatTest, DoublesOutsideLongLongUnderIntegerSpecsRenderVerbatim) {
+  // No long long holds these, and converting one is undefined: the spec
+  // shows as written, as it does for any spec the renderer cannot fill.
+  EXPECT_EQ(Detok("it=%d", 1e300), "it=%d");
+  EXPECT_EQ(Detok("it=%d", -1e300), "it=%d");
+  EXPECT_EQ(Detok("it=%d", std::nan("")), "it=%d");
+  EXPECT_EQ(Detok("n=%zu", 0x1p63), "n=%zu");
+  // The slot is still consumed, and the range's ends keep their digits.
+  EXPECT_EQ(Detok("%x then %d", 1e300, 5), "%x then 5");
+  EXPECT_EQ(Detok("%d", -0x1p63), "-9223372036854775808");
+  EXPECT_EQ(Detok("%lld", 0x1p63 - 1024.0), "9223372036854774784");
+  EXPECT_EQ(Detok("%d", -2.75), "-2");
+}
+
+TEST(DetokFormatTest, ToCharsConversionsPrintWhatSnprintfPrints) {
+  // Every spec the renderer prints with std::to_chars, against snprintf
+  // of the 64-bit spec, over edge values plus a seeded batch. DBL_MAX
+  // under %.Nf overflows to_chars's buffer and takes the snprintf path.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<int64_t> ints = {0,         1,         -1,
+                               INT64_MIN, INT64_MAX, int64_t{1} << 53};
+  std::vector<double> doubles = {0.0,     -0.0,     0.5,      1.5,
+                                 2.5,     0.125,    0.0625,   1.0005,
+                                 1e-5,    1e-320,   123456.5, 1e15 + 0.5,
+                                 DBL_MAX, -DBL_MAX, kInf,     -kInf,
+                                 std::nan(""), -std::nan("")};
+  Rng rng(20261018);
+  for (int k = 0; k < 2000; ++k) {
+    ints.push_back(static_cast<int64_t>(rng.Next()));
+    ints.push_back(rng.UniformRange(-100000, 100000));
+    doubles.push_back(std::bit_cast<double>(rng.Next()));
+    doubles.push_back((rng.UniformDouble() - 0.5) *
+                      std::pow(10.0, static_cast<double>(
+                                         rng.UniformRange(-8, 12))));
+  }
+  int mismatches = 0;
+  const auto expect = [&](const char* spec, const std::string& got,
+                          const std::string& want) {
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << spec << ": rendered \"" << got << "\", printf \""
+                    << want << "\"";
+    }
+  };
+  for (const int64_t v : ints) {
+    const auto ll = static_cast<long long>(v);
+    const auto ull = static_cast<unsigned long long>(v);
+    for (const char* spec : {"%d", "%i", "%lld"}) {
+      expect(spec, Detok(spec, v), StrFormat("%lld", ll));
+    }
+    for (const char* spec : {"%u", "%llu", "%zu"}) {
+      expect(spec, Detok(spec, static_cast<uint64_t>(v)),
+             StrFormat("%llu", ull));
+    }
+  }
+  for (const double d : doubles) {
+    for (const char* spec : {"%g", "%e", "%.1f", "%.2f", "%.3f", "%.4f"}) {
+      expect(spec, Detok(spec, d), StrFormat(spec, d));
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(DetokenizeTest, EmptyAndUnknownTokensRenderHonestly) {
   TokenRegistry registry;  // deliberately empty
   EXPECT_EQ(Detokenize(TokenizedDetail{}, &registry), "");
   TokenizedDetail unknown(TokenizedFmt{0xffu, "?"});
   EXPECT_EQ(Detokenize(unknown, &registry), "<token 000000ff?>");
+}
+
+TEST(DetokenizerTest, RendersEachDetailAsDetokenizeDoes) {
+  // One Detokenizer across interleaved tokens, known and unknown,
+  // appends what a fresh Detokenize of each detail returns.
+  TokenRegistry registry;
+  ASSERT_TRUE(registry.Register(TokenHash32("it=%d"), "it=%d"));
+  ASSERT_TRUE(registry.Register(TokenHash32("b=%g n=%zu"), "b=%g n=%zu"));
+  const std::vector<TokenizedDetail> details = {
+      TokenizedDetail(TokenizedFmt{TokenHash32("it=%d"), "it=%d"}, 3),
+      TokenizedDetail(TokenizedFmt{TokenHash32("b=%g n=%zu"), "b=%g n=%zu"},
+                      0.25, size_t{9}),
+      TokenizedDetail(TokenizedFmt{0xffu, "?"}),
+      TokenizedDetail(),
+      TokenizedDetail(TokenizedFmt{TokenHash32("it=%d"), "it=%d"}, -7),
+      TokenizedDetail(TokenizedFmt{0xffu, "?"})};
+  Detokenizer detok(&registry);
+  std::string joined;
+  std::string want;
+  for (const TokenizedDetail& d : details) {
+    detok.Append(d, &joined);
+    want += Detokenize(d, &registry);
+    joined += '|';
+    want += '|';
+  }
+  EXPECT_EQ(joined,
+            "it=3|b=0.25 n=9|<token 000000ff?>||it=-7|<token 000000ff?>|");
+  EXPECT_EQ(joined, want);
 }
 
 TEST(TokenDbCsvTest, RoundTripsIncludingQuotedQuotes) {

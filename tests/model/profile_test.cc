@@ -74,13 +74,5 @@ TEST(HeuristicTest, FcClampRange) {
   EXPECT_GE(HeuristicThreshold(Layer::Fc("x", 64000, 64000)), 256.0);
 }
 
-TEST(RoundUpPow2Test, Basics) {
-  EXPECT_DOUBLE_EQ(RoundUpPow2(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(RoundUpPow2(3.0), 4.0);
-  EXPECT_DOUBLE_EQ(RoundUpPow2(16.0), 16.0);
-  EXPECT_DOUBLE_EQ(RoundUpPow2(17.0), 32.0);
-  EXPECT_DOUBLE_EQ(RoundUpPow2(0.3), 1.0);
-}
-
 }  // namespace
 }  // namespace fela::model

@@ -144,6 +144,26 @@ TEST(TraceIoTest, RecordClaimingMoreThanFourArgsEndsTheStream) {
   EXPECT_TRUE(data.spans.empty());
 }
 
+TEST(TraceIoTest, SpanCountBeyondTheBodyParsesAsTruncated) {
+  // A count is only reserved up to what the bytes can hold: a header
+  // claiming 2^62 spans over one 64-byte span record parses that one
+  // and stops at the trailer, instead of sizing a vector by the claim.
+  SpanSink spans{8};
+  spans.set_enabled(true);
+  spans.Emit(Span{0, Phase::kCompute, 0.0, 1.0, 2, {}});
+  std::string bytes = SerializeBinaryTrace(spans, nullptr, 4);
+  const size_t count_at = kBinaryTraceMagic.size() + 4 + 1;  // u64, LE
+  for (int i = 0; i < 8; ++i) {
+    bytes[count_at + static_cast<size_t>(i)] =
+        static_cast<char>(((uint64_t{1} << 62) >> (8 * i)) & 0xff);
+  }
+  BinaryTraceData data;
+  std::string error;
+  ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
+  EXPECT_TRUE(data.truncated);
+  EXPECT_LE(data.spans.size(), 1u);
+}
+
 TEST(TraceIoTest, HeaderClaimingTooManyWorkersIsRejected) {
   // Renderers write one row per claimed worker, so a corrupt count
   // (here 0x00FFFFFF) must fail the parse instead of sizing the output.
@@ -208,6 +228,23 @@ TEST(ChromeTraceWriterTest, PrintsWhatJsonDumpPrints) {
   const std::string no_events = ChromeTraceString(spans, &quiet, 2);
   ExpectDumpFixedPoint(no_events);
   EXPECT_NE(no_events.find("\"trace_events_dropped\": 0"),
+            std::string::npos);
+
+  // An instant whose token no registry knows renders the marker.
+  constexpr uint32_t kUnknown = 0x00c0ffee;
+  ASSERT_EQ(common::TokenRegistry::Global().Find(kUnknown), nullptr);
+  trace.Record(2.0, 1, sim::TraceKind::kConflict,
+               common::TokenizedDetail(common::TokenizedFmt{kUnknown, "?"}));
+  const std::string unknown = ChromeTraceString(spans, &trace, 2);
+  ExpectDumpFixedPoint(unknown);
+  EXPECT_NE(unknown.find("\"detail\": \"<token 00c0ffee?>\""),
+            std::string::npos);
+
+  // No workers and no spans, so an instant is the first record.
+  const std::string instants_only = ChromeTraceString(SpanSink{}, &trace, 0);
+  ExpectDumpFixedPoint(instants_only);
+  EXPECT_NE(instants_only.find(
+                "\"traceEvents\": [\n  {\n   \"name\": \"TokenGrant\""),
             std::string::npos);
 
   // No workers and no spans: an empty event list.
