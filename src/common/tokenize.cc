@@ -49,6 +49,38 @@ bool IsFlag(char c) {
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
+/// One conversion spec split the way printf reads it,
+/// %[flags][width][.precision][length]conv, from the '%' at `begin`.
+struct SpecParts {
+  bool bare = false;  // no flag and no width
+  size_t width_digits = 0;
+  bool has_precision = false;
+  std::string_view precision;  // its digits; none after the '.' means 0
+  std::string_view head;       // flags, width and precision as written
+  size_t conv = 0;  // index of the conversion letter; fmt.size() if none
+};
+
+SpecParts SplitSpec(std::string_view fmt, size_t begin) {
+  SpecParts parts;
+  size_t j = begin + 1;
+  while (j < fmt.size() && IsFlag(fmt[j])) ++j;
+  const size_t width = j;
+  while (j < fmt.size() && IsDigit(fmt[j])) ++j;
+  parts.width_digits = j - width;
+  parts.bare = j == begin + 1;
+  const size_t dot = j;
+  if (j < fmt.size() && fmt[j] == '.') {
+    ++j;
+    while (j < fmt.size() && IsDigit(fmt[j])) ++j;
+  }
+  parts.has_precision = j > dot;
+  if (parts.has_precision) parts.precision = fmt.substr(dot + 1, j - dot - 1);
+  parts.head = fmt.substr(begin + 1, j - begin - 1);
+  while (j < fmt.size() && IsLengthMod(fmt[j])) ++j;
+  parts.conv = j;
+  return parts;
+}
+
 std::chars_format FormatOf(char conv) {
   switch (conv) {
     case 'e':
@@ -82,25 +114,8 @@ CompiledFormat::CompiledFormat(std::string_view fmt) {
       i += 2;
       continue;
     }
-    // Split the spec into %[flags][width][.precision][length]conv; the
-    // length modifier is dropped because every packed integer re-runs
-    // at 64-bit width (same digits for every value the original width
-    // could hold).
-    size_t j = i + 1;
-    while (j < fmt.size() && IsFlag(fmt[j])) ++j;
-    while (j < fmt.size() && IsDigit(fmt[j])) ++j;
-    const bool bare = j == i + 1;  // no flag and no width
-    const size_t dot = j;
-    if (j < fmt.size() && fmt[j] == '.') {
-      ++j;
-      while (j < fmt.size() && IsDigit(fmt[j])) ++j;
-    }
-    const bool has_precision = j > dot;
-    // Its digits; none after the '.' means 0, as in printf.
-    const std::string_view precision =
-        has_precision ? fmt.substr(dot + 1, j - dot - 1) : std::string_view();
-    const std::string_view flags_width = fmt.substr(i + 1, j - i - 1);
-    while (j < fmt.size() && IsLengthMod(fmt[j])) ++j;
+    const SpecParts parts = SplitSpec(fmt, i);
+    const size_t j = parts.conv;
     if (j >= fmt.size()) {
       literal.append(fmt.substr(i));  // dangling '%...' at the end
       break;
@@ -116,24 +131,28 @@ CompiledFormat::CompiledFormat(std::string_view fmt) {
     Piece p;
     p.conv = conv;
     p.text = written;
+    // The length modifier is dropped because every packed integer
+    // re-runs at 64-bit width (same digits for every value the original
+    // width could hold).
     p.spec = "%";
-    p.spec += flags_width;
+    p.spec += parts.head;
     if (conv == 'c') {
       p.spec += 'c';
     } else if (IsIntegerConv(conv)) {
       p.spec += "ll";
       p.spec += conv;
-      p.to_chars =
-          bare && !has_precision && (conv == 'd' || conv == 'i' || conv == 'u');
+      p.to_chars = parts.bare && !parts.has_precision &&
+                   (conv == 'd' || conv == 'i' || conv == 'u');
     } else {
       p.spec += conv;
       // Two digits keep the precision small enough for to_chars's buffer
       // on most values; a larger one goes through snprintf.
-      p.to_chars = bare && (conv == 'e' || conv == 'f' || conv == 'g') &&
-                   precision.size() <= 2;
-      if (p.to_chars && has_precision) {
+      p.to_chars = parts.bare &&
+                   (conv == 'e' || conv == 'f' || conv == 'g') &&
+                   parts.precision.size() <= 2;
+      if (p.to_chars && parts.has_precision) {
         p.precision = 0;
-        for (const char d : precision) {
+        for (const char d : parts.precision) {
           p.precision = p.precision * 10 + (d - '0');
         }
       }
@@ -296,6 +315,46 @@ std::string TokenDbCsv(const TokenRegistry& registry) {
   return out;
 }
 
+bool ValidateTokenFormat(std::string_view fmt, std::string* why) {
+  int specs = 0;
+  for (size_t i = 0; i < fmt.size(); ++i) {
+    if (fmt[i] != '%') continue;
+    if (i + 1 < fmt.size() && fmt[i + 1] == '%') {
+      ++i;
+      continue;
+    }
+    const SpecParts parts = SplitSpec(fmt, i);
+    if (parts.conv >= fmt.size()) {
+      *why = "dangling % at end of format";
+      return false;
+    }
+    const char conv = fmt[parts.conv];
+    if (conv == 's' || conv == 'p' || conv == 'n') {
+      *why = StrFormat(
+          "%%%c cannot be tokenized (args are packed numerics); write "
+          "the text into the format string itself",
+          conv);
+      return false;
+    }
+    if (parts.width_digits > 2 || parts.precision.size() > 2) {
+      *why = StrFormat("%%%.*s%c: a width or precision of more than two "
+                       "digits",
+                       static_cast<int>(parts.head.size()), parts.head.data(),
+                       conv);
+      return false;
+    }
+    ++specs;
+    i = parts.conv;
+  }
+  if (specs > 4) {
+    *why = StrFormat("%d conversion specs; tokenized details carry at most "
+                     "4 args",
+                     specs);
+    return false;
+  }
+  return true;
+}
+
 bool LoadTokenDbCsv(std::string_view csv, TokenRegistry* registry,
                     std::string* error) {
   size_t i = 0;
@@ -331,6 +390,7 @@ bool LoadTokenDbCsv(std::string_view csv, TokenRegistry* registry,
       if (d < 0) return fail("bad hex digit in token field");
       token = token * 16 + static_cast<uint32_t>(d);
     }
+    const size_t row_line = line;
     size_t p = comma + 1;
     if (p >= csv.size() || csv[p] != '"') return fail("format not quoted");
     ++p;
@@ -357,6 +417,14 @@ bool LoadTokenDbCsv(std::string_view csv, TokenRegistry* registry,
       if (csv[p] != '\n') return fail("trailing bytes after quoted format");
       ++p;
       ++line;
+    }
+    std::string why;
+    if (!ValidateTokenFormat(fmt, &why)) {
+      if (error != nullptr) {
+        *error = StrFormat("tokens csv line %zu: \"%s\": %s", row_line,
+                           fmt.c_str(), why.c_str());
+      }
+      return false;
     }
     std::string reg_error;
     if (!registry->Register(token, fmt, &reg_error)) {

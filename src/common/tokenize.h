@@ -187,9 +187,18 @@ class Detokenizer {
 std::string Detokenize(const TokenizedDetail& detail,
                        const TokenRegistry* registry = nullptr);
 
+/// The one format policy for tokenized details: no dangling `%`, no
+/// `%s`, `%p` or `%n` (the args are packed numerics), at most four
+/// conversions (the arg slots), and no width or precision of more than
+/// two digits (rendering sizes its output by them). Returns false with
+/// the reason in `why` otherwise. fela-tokendb checks every FELA_TOK
+/// site against it, and LoadTokenDbCsv every row.
+bool ValidateTokenFormat(std::string_view fmt, std::string* why);
+
 /// tokens.csv serialization: one "token,fmt" row per entry sorted by
 /// token, the format CSV-quoted. LoadTokenDbCsv accepts exactly what
-/// TokenDbCsv emits (and what fela-tokendb writes).
+/// TokenDbCsv emits (and what fela-tokendb writes), and rejects a row
+/// whose format breaks ValidateTokenFormat, naming its line.
 std::string TokenDbCsv(const TokenRegistry& registry);
 bool LoadTokenDbCsv(std::string_view csv, TokenRegistry* registry,
                     std::string* error);

@@ -297,9 +297,6 @@ void FelaEngine::ArmCheckpointTimer() {
           cluster_->simulator().now()))) {
     return;
   }
-  // fela-lint: allow(untraced-event): checkpoints are internal state
-  // copies; tracing them would perturb transcripts of runs whose faults
-  // never fire.
   checkpoint_timer_ = cluster_->simulator().Schedule(
       config_.ts_checkpoint_interval_sec, [this] {
         checkpoint_timer_ = sim::kInvalidEventId;
@@ -336,8 +333,6 @@ void FelaEngine::FenceShard(int shard) {
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), shard_host_[s],
              sim::TraceKind::kTsFailover, FELA_TOK("fence inc=%d it=%d"),
              shard_inc_[s], current_iteration());
-  // fela-lint: allow(untraced-event): the promotion traces kTsFailover
-  // itself when the timer fires.
   shard_failover_timer_[s] = cluster_->simulator().Schedule(
       config_.ts_failover_timeout_sec, [this, shard] {
         shard_failover_timer_[static_cast<size_t>(shard)] =
@@ -416,8 +411,6 @@ void FelaEngine::DeliverGrant(sim::NodeId worker, const Grant& grant) {
   // distributor charged. The fabric drops it if an endpoint is down at
   // send time; the delivery-side check covers a crash while in flight
   // (the TS lease reclaims the token either way).
-  // fela-lint: allow(untraced-event): the worker traces kTokenGrant on
-  // receipt; in-flight delivery has no observable state to record.
   cluster_->simulator().Schedule(grant.extra_delay, [this, src, worker,
                                                     grant] {
     cluster_->fabric().SendControl(src, worker, [this, worker, grant] {

@@ -373,7 +373,6 @@ void TokenServer::RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
   shard_fenced_[s] = false;
   shard_restored_[s] = true;
   shard_lock_free_[s] = 0.0;  // the successor's distributor lock starts free
-  const sim::SimTime now = sim_->now();
   if (cp.valid && cp.iteration == iteration_) {
     // Re-arm checkpointed leases whose tokens are still parked in the
     // shard (they were live at the fence and the iteration has not
@@ -390,20 +389,7 @@ void TokenServer::RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
           stbs_[BucketIndexFor(worker)].TakeById(token.id);
       if (!parked.has_value()) continue;
       NoteBucketTake(shard, parked->level);
-      const TokenId id = token.id;
-      Lease lease;
-      lease.token = token;
-      lease.worker = worker;
-      if (leases_enabled_) {
-        lease.timer =
-            // fela-lint: allow(untraced-event): expiry traces as
-            // kTokenReclaim when the lease actually fires; re-arming it
-            // is silent by design.
-            sim_->ScheduleAt(now + config_->lease_timeout_sec,
-                             [this, shard, id] { OnLeaseExpired(shard, id); });
-      }
-      outstanding_[static_cast<size_t>(worker)] = id;
-      shard_leases_[s][id] = std::move(lease);
+      ArmLease(shard, worker, token);
       ++shard_stats_[s].leases_restored;
     }
   }
@@ -503,12 +489,7 @@ int TokenServer::PickDonorShard(int thief_shard,
   return best;
 }
 
-std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
-                                          bool* cross_shard,
-                                          double* extra_delay) {
-  *stolen = false;
-  *cross_shard = false;
-  *extra_delay = 0.0;
+std::optional<Grant> TokenServer::TakeFor(sim::NodeId worker) {
   // CTD liveness valve: workers outside S never see communication-
   // intensive levels, so if every subset worker is down those tokens
   // have no eligible taker and the iteration wedges on processes that
@@ -537,151 +518,91 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
     }
   }
   if (!any_available) return std::nullopt;
-  const bool use_locality = config_->ads_enabled;
-  const int shard = ShardOfWorker(worker);
-  const size_t s = static_cast<size_t>(shard);
-
-  if (!hf()) {
-    // One Token Bucket per shard: every distribution serializes on the
-    // shard's lock; a dry shard asks the root for a donor.
-    TokenBucket& own = stbs_[s];
-    if (own.HasTokenForOrder(order)) {
-      *extra_delay = AcquireLock(shard);
-      std::optional<Token> token = own.Take(worker, info_, order, use_locality);
-      if (token.has_value()) NoteBucketTake(shard, token->level);
-      return token;
-    }
-    const int donor = PickDonorShard(shard, order);
-    if (donor < 0) return std::nullopt;
-    *stolen = true;
-    *cross_shard = true;
-    // Hierarchical path: the grant serializes on the donor's lock and
-    // pays the two rack hops of the root-mediated transfer.
-    *extra_delay =
-        AcquireLock(donor) + 2.0 * cal_->topology.rack_hop_latency_sec;
-    std::optional<Token> token =
-        stbs_[static_cast<size_t>(donor)].Take(worker, info_, order,
-                                               use_locality);
-    if (token.has_value()) {
-      ++shard_stats_[static_cast<size_t>(donor)].donations;
-      if (!canaries_.skip_donor_decrement) NoteBucketTake(donor, token->level);
-    }
-    return token;
-  }
-
-  TokenBucket& own = stbs_[static_cast<size_t>(worker)];
-
   // CTD: subset workers hunt communication-intensive tokens before
-  // anything else (their priority is T-comm > rest, §III-F) — own STB,
-  // then their shard's members, then any donor shard.
-  if (CtdActive() && worker < config_->ctd_subset_size) {
-    if (!comm_order_.empty()) {
-      if (own.HasTokenForOrder(comm_order_)) {
-        std::optional<Token> token =
-            own.Take(worker, info_, comm_order_, use_locality);
-        if (token.has_value()) NoteBucketTake(shard, token->level);
-        return token;
-      }
-      const sim::NodeId victim = ChooseVictim(worker, comm_order_, shard);
-      if (victim >= 0) {
-        *stolen = true;
-        *extra_delay = AcquireLock(shard);
-        std::optional<Token> token = stbs_[static_cast<size_t>(victim)].Take(
-            worker, info_, comm_order_, use_locality);
-        if (token.has_value()) NoteBucketTake(shard, token->level);
-        return token;
-      }
-      if (num_shards_ > 1) {
-        const int donor = PickDonorShard(shard, comm_order_);
-        if (donor >= 0) {
-          const sim::NodeId remote =
-              ChooseVictim(worker, comm_order_, donor);
-          if (remote >= 0) {
-            *stolen = true;
-            *cross_shard = true;
-            *extra_delay =
-                AcquireLock(donor) + 2.0 * cal_->topology.rack_hop_latency_sec;
-            std::optional<Token> token =
-                stbs_[static_cast<size_t>(remote)].Take(worker, info_,
-                                                        comm_order_,
-                                                        use_locality);
-            if (token.has_value()) {
-              ++shard_stats_[static_cast<size_t>(donor)].donations;
-              if (!canaries_.skip_donor_decrement) {
-                NoteBucketTake(donor, token->level);
-              }
-            }
-            return token;
-          }
-        }
-      }
-    }
+  // anything else (their priority is T-comm > rest, §III-F) along the
+  // whole ladder. A hunt steal leaves the helper assignment alone.
+  if (hf() && CtdActive() && worker < config_->ctd_subset_size &&
+      !comm_order_.empty()) {
+    std::optional<Grant> grant =
+        TakeAlong(worker, comm_order_, /*repoint_helper=*/false);
+    if (grant.has_value()) return grant;
   }
-
-  // Own STB first: conflict-free, no locking (§III-E target 1).
-  if (own.HasTokenForOrder(order)) {
-    std::optional<Token> token = own.Take(worker, info_, order, use_locality);
-    if (token.has_value()) NoteBucketTake(shard, token->level);
-    return token;
-  }
-
-  // Helper mode: steal from the neediest straggler in the worker's own
-  // shard, under the shard's lock.
-  const sim::NodeId victim = ChooseVictim(worker, order, shard);
-  if (victim >= 0) {
-    *stolen = true;
-    *extra_delay = AcquireLock(shard);
-    std::optional<Token> token =
-        stbs_[static_cast<size_t>(victim)].Take(worker, info_, order,
-                                                use_locality);
-    if (token.has_value()) {
-      NoteBucketTake(shard, token->level);
-      // Re-point this helper at its new victim.
-      const sim::NodeId prev = helping_[static_cast<size_t>(worker)];
-      if (prev >= 0) --helper_count_[static_cast<size_t>(prev)];
-      helping_[static_cast<size_t>(worker)] = victim;
-      ++helper_count_[static_cast<size_t>(victim)];
-    }
-    return token;
-  }
-  if (num_shards_ == 1) return std::nullopt;
-
-  // Hierarchical steal: the shard is dry, so the root elects the donor
-  // shard with the largest surplus and the donor runs its local victim
-  // search — still no all-worker scan anywhere on this path.
-  const int donor = PickDonorShard(shard, order);
-  if (donor < 0) return std::nullopt;
-  const sim::NodeId remote = ChooseVictim(worker, order, donor);
-  if (remote < 0) return std::nullopt;
-  *stolen = true;
-  *cross_shard = true;
-  *extra_delay = AcquireLock(donor) + 2.0 * cal_->topology.rack_hop_latency_sec;
-  std::optional<Token> token =
-      stbs_[static_cast<size_t>(remote)].Take(worker, info_, order,
-                                              use_locality);
-  if (token.has_value()) {
-    ++shard_stats_[static_cast<size_t>(donor)].donations;
-    if (!canaries_.skip_donor_decrement) NoteBucketTake(donor, token->level);
-    // The helper re-points at its remote victim; helper bookkeeping is
-    // cluster-global so cross-shard assists count like local ones.
-    const sim::NodeId prev = helping_[static_cast<size_t>(worker)];
-    if (prev >= 0) --helper_count_[static_cast<size_t>(prev)];
-    helping_[static_cast<size_t>(worker)] = remote;
-    ++helper_count_[static_cast<size_t>(remote)];
-  }
-  return token;
+  return TakeAlong(worker, order, /*repoint_helper=*/true);
 }
 
-Grant TokenServer::MakeGrant(Token token, sim::NodeId worker, bool stolen,
-                             bool cross_shard, double delay) {
-  Stats& st = shard_stats_[static_cast<size_t>(ShardOfWorker(worker))];
+std::optional<Grant> TokenServer::TakeAlong(sim::NodeId worker,
+                                            const std::vector<int>& order,
+                                            bool repoint_helper) {
+  // Own bucket first: under HF the worker's STB, conflict-free and
+  // lock-free (§III-E target 1); without HF its shard's one bucket.
+  const size_t own = BucketIndexFor(worker);
+  if (stbs_[own].HasTokenForOrder(order)) {
+    return TakeFrom(worker, order, own, repoint_helper);
+  }
+  // Helper mode: steal from the neediest straggler in the worker's own
+  // shard, under the shard's lock.
+  const int shard = ShardOfWorker(worker);
+  if (hf()) {
+    const sim::NodeId victim = ChooseVictim(worker, order, shard);
+    if (victim >= 0) {
+      return TakeFrom(worker, order, static_cast<size_t>(victim),
+                      repoint_helper);
+    }
+  }
+  // Hierarchical steal: the shard is dry, so the root elects the donor
+  // shard with the largest surplus (none on a one-shard server) and the
+  // donor runs its local victim search — still no all-worker scan.
+  const int donor = PickDonorShard(shard, order);
+  if (donor < 0) return std::nullopt;
+  const int bucket = hf() ? ChooseVictim(worker, order, donor) : donor;
+  if (bucket < 0) return std::nullopt;
+  return TakeFrom(worker, order, static_cast<size_t>(bucket), repoint_helper);
+}
+
+std::optional<Grant> TokenServer::TakeFrom(sim::NodeId worker,
+                                           const std::vector<int>& order,
+                                           size_t bucket,
+                                           bool repoint_helper) {
+  const bool stolen = bucket != BucketIndexFor(worker);
+  const int holder = hf() ? ShardOfWorker(static_cast<sim::NodeId>(bucket))
+                          : static_cast<int>(bucket);
+  const bool cross_shard = holder != ShardOfWorker(worker);
+  double delay = 0.0;
+  if (stolen || !hf()) {
+    // The lock comes before the take, so a donor whose cached surplus
+    // lied still pays it; the root-mediated transfer adds two rack hops.
+    delay = AcquireLock(holder);
+    if (cross_shard) delay += 2.0 * cal_->topology.rack_hop_latency_sec;
+  }
+  std::optional<Token> token =
+      stbs_[bucket].Take(worker, info_, order, config_->ads_enabled);
+  if (!token.has_value()) return std::nullopt;
+  if (cross_shard) ++shard_stats_[static_cast<size_t>(holder)].donations;
+  if (!cross_shard || !canaries_.skip_donor_decrement) {
+    NoteBucketTake(holder, token->level);
+  }
+  if (repoint_helper && hf() && stolen) {
+    // Helper bookkeeping is cluster-global, so cross-shard assists count
+    // like local ones.
+    sim::NodeId& prev = helping_[static_cast<size_t>(worker)];
+    if (prev >= 0) --helper_count_[static_cast<size_t>(prev)];
+    prev = static_cast<sim::NodeId>(bucket);
+    ++helper_count_[bucket];
+  }
   Grant grant;
+  grant.token = std::move(*token);
   grant.stolen = stolen;
   grant.cross_shard = cross_shard;
   grant.extra_delay = delay;
+  return grant;
+}
+
+void TokenServer::MakeGrant(sim::NodeId worker, Grant* grant) {
+  Stats& st = shard_stats_[static_cast<size_t>(ShardOfWorker(worker))];
+  const Token& token = grant->token;
   if (token.level == 0) {
     if (token.sample_home >= 0 && token.sample_home != worker) {
-      grant.remote_fetches.emplace_back(
+      grant->remote_fetches.emplace_back(
           token.sample_home,
           plan_->level(0).sample_bytes_per_sample * token.batch);
       ++st.remote_dep_fetches;
@@ -697,12 +618,41 @@ Grant TokenServer::MakeGrant(Token token, sim::NodeId worker, bool stolen,
         ++st.local_dep_hits;
         continue;
       }
-      grant.remote_fetches.emplace_back(holder, per_sample * dep.batch);
+      grant->remote_fetches.emplace_back(holder, per_sample * dep.batch);
       ++st.remote_dep_fetches;
     }
   }
-  grant.token = std::move(token);
-  return grant;
+}
+
+sim::SimTime TokenServer::ArmLease(int shard, sim::NodeId worker,
+                                   const Token& token) {
+  // The lease record always exists (SetWorkerDown reclaims through it)
+  // and lives in the worker's shard — a donated token transfers wholly
+  // to the thief's shard, so exactly one shard ever owns it. The expiry
+  // timer is only armed when leasing is on, so fault-free runs schedule
+  // no extra events and replay bit-identically; its expiry traces as
+  // kTokenReclaim when it fires, and arming it is silent.
+  const TokenId id = token.id;
+  Lease lease;
+  lease.token = token;
+  lease.worker = worker;
+  sim::SimTime deadline = 0.0;
+  if (leases_enabled_) {
+    deadline = sim_->now() + config_->lease_timeout_sec;
+    lease.timer = sim_->ScheduleAt(
+        deadline, [this, shard, id] { ReclaimLease(shard, id, true); });
+  }
+  outstanding_[static_cast<size_t>(worker)] = id;
+  shard_leases_[static_cast<size_t>(shard)][id] = std::move(lease);
+  return deadline;
+}
+
+bool TokenServer::Park(sim::NodeId worker) {
+  const size_t w = static_cast<size_t>(worker);
+  if (waiting_[w]) return false;
+  waiting_[w] = true;
+  shard_waiters_[static_cast<size_t>(ShardOfWorker(worker))].push_back(worker);
+  return true;
 }
 
 bool TokenServer::TryGrant(sim::NodeId worker) {
@@ -717,42 +667,21 @@ bool TokenServer::TryGrant(sim::NodeId worker) {
       outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
     return false;
   }
-  bool stolen = false;
-  bool cross = false;
-  double delay = 0.0;
-  std::optional<Token> token = TakeFor(worker, &stolen, &cross, &delay);
-  if (!token.has_value()) return false;
+  std::optional<Grant> grant = TakeFor(worker);
+  if (!grant.has_value()) return false;
   Stats& st = shard_stats_[static_cast<size_t>(shard)];
   ++st.grants;
-  if (stolen) ++st.steals;
-  if (cross) ++st.cross_shard_steals;
-  if (token->attempt > 0) {
+  if (grant->stolen) ++st.steals;
+  if (grant->cross_shard) ++st.cross_shard_steals;
+  if (grant->token.attempt > 0) {
     ++st.regrants;
     // A donated token carries its attempt counter across the shard
     // boundary; the matching reclaim sits in the donor's ledger.
-    if (cross) ++migrated_reclaims_in_[static_cast<size_t>(shard)];
+    if (grant->cross_shard) ++migrated_reclaims_in_[static_cast<size_t>(shard)];
   }
-  Grant grant = MakeGrant(std::move(*token), worker, stolen, cross, delay);
-  const TokenId id = grant.token.id;
-  outstanding_[static_cast<size_t>(worker)] = id;
-  // The lease record always exists (SetWorkerDown reclaims through it)
-  // and lives in the worker's shard — a donated token transfers wholly
-  // to the thief's shard, so exactly one shard ever owns it. The expiry
-  // timer is only armed when leasing is on, so fault-free runs schedule
-  // no extra events and replay bit-identically.
-  Lease lease;
-  lease.token = grant.token;
-  lease.worker = worker;
-  if (leases_enabled_) {
-    grant.lease_deadline = sim_->now() + config_->lease_timeout_sec;
-    // fela-lint: allow(untraced-event): expiry traces as kTokenReclaim
-    // when the lease actually fires; arming it is silent by design.
-    lease.timer = sim_->ScheduleAt(grant.lease_deadline, [this, shard, id] {
-      OnLeaseExpired(shard, id);
-    });
-  }
-  shard_leases_[static_cast<size_t>(shard)][id] = std::move(lease);
-  cbs_.deliver_grant(worker, grant);
+  MakeGrant(worker, &*grant);
+  grant->lease_deadline = ArmLease(shard, worker, grant->token);
+  cbs_.deliver_grant(worker, *grant);
   return true;
 }
 
@@ -763,24 +692,17 @@ void TokenServer::HandleRequest(sim::NodeId worker) {
   // so a request landing here is a straggler — drop it (the worker's
   // retry reaches the successor incarnation).
   if (shard_fenced_[static_cast<size_t>(shard)]) return;
-  auto& waiters = shard_waiters_[static_cast<size_t>(shard)];
+  Stats& st = shard_stats_[static_cast<size_t>(shard)];
   if (outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
     // A retransmitted request racing a grant already in flight (or whose
     // grant was lost). Park the worker; it is served as soon as its
     // lease resolves — granting a second token now would double-book it.
-    ++shard_stats_[static_cast<size_t>(shard)].redundant_requests;
-    if (!waiting_[static_cast<size_t>(worker)]) {
-      waiting_[static_cast<size_t>(worker)] = true;
-      waiters.push_back(worker);
-    }
+    ++st.redundant_requests;
+    Park(worker);
     return;
   }
   if (TryGrant(worker)) return;
-  if (!waiting_[static_cast<size_t>(worker)]) {
-    waiting_[static_cast<size_t>(worker)] = true;
-    waiters.push_back(worker);
-    ++shard_stats_[static_cast<size_t>(shard)].enqueued_waits;
-  }
+  if (Park(worker)) ++st.enqueued_waits;
 }
 
 void TokenServer::ServeWaiters() {
@@ -828,7 +750,8 @@ void TokenServer::GenerateAfterCompletion(const Token& completed,
   const int level = completed.level;
   const int next = level + 1;
   if (next >= plan_->num_levels()) return;
-  auto& pending = pending_[static_cast<size_t>(level)][PoolIndexFor(reporter)];
+  auto& pending =
+      pending_[static_cast<size_t>(level)][BucketIndexFor(reporter)];
   pending.push_back(TokenDep{completed.id, completed.batch});
 
   const int ratio = plan_->level(next).generation_ratio;
@@ -946,10 +869,6 @@ void TokenServer::ReclaimLease(int shard, TokenId id, bool expired) {
   ServeWaiters();
 }
 
-void TokenServer::OnLeaseExpired(int shard, TokenId id) {
-  ReclaimLease(shard, id, true);
-}
-
 void TokenServer::CancelAllLeases() {
   for (auto& leases : shard_leases_) {
     for (auto& [id, lease] : leases) {
@@ -1012,19 +931,8 @@ void TokenServer::HandleReport(sim::NodeId worker, const Token& token) {
   // dependencies, so granting it the just-generated token avoids the
   // remote fetches another worker would pay. Without ADS the distributor
   // is a plain FIFO: queued waiters go first.
-  auto enqueue_reporter = [&] {
-    if (!waiting_[w]) {
-      waiting_[w] = true;
-      shard_waiters_[static_cast<size_t>(shard)].push_back(worker);
-    }
-  };
-  if (config_->ads_enabled) {
-    if (!TryGrant(worker)) enqueue_reporter();
-    ServeWaiters();
-  } else {
-    enqueue_reporter();
-    ServeWaiters();
-  }
+  if (!config_->ads_enabled || !TryGrant(worker)) Park(worker);
+  ServeWaiters();
 
   if (level_done) {
     cbs_.on_level_complete(token.level);

@@ -275,24 +275,33 @@ class FELA_THREAD_HOSTILE TokenServer {
   int num_workers() const { return plan_->num_workers; }
   /// Bucket index a worker's tokens live in: its STB under HF, else its
   /// shard's single bucket (the unsharded server's global bucket is the
-  /// one-shard case).
+  /// one-shard case). Completion pools are indexed the same way.
   size_t BucketIndexFor(sim::NodeId worker) const {
     return hf() ? static_cast<size_t>(worker)
                 : static_cast<size_t>(ShardOfWorker(worker));
-  }
-  /// Completion-pool index for a reporter (per worker under HF, else per
-  /// shard).
-  size_t PoolIndexFor(sim::NodeId reporter) const {
-    return hf() ? static_cast<size_t>(reporter)
-                : static_cast<size_t>(ShardOfWorker(reporter));
   }
 
   /// Tries to grant a token to `worker`; delivers via callback on
   /// success.
   bool TryGrant(sim::NodeId worker);
-  /// Selection across buckets per HF/CTD; fills steal/conflict info.
-  std::optional<Token> TakeFor(sim::NodeId worker, bool* stolen,
-                               bool* cross_shard, double* extra_delay);
+  /// Selection across buckets per HF/CTD: the grant's token, steal flags
+  /// and lock/hop delay, or nothing when no bucket can serve `worker`.
+  std::optional<Grant> TakeFor(sim::NodeId worker);
+  /// The take ladder over `order`: the worker's own bucket, then (HF) a
+  /// victim in its shard, then the donor shard the root elects (a victim
+  /// there under HF, its single bucket otherwise). Nothing when no rung
+  /// holds a token.
+  std::optional<Grant> TakeAlong(sim::NodeId worker,
+                                 const std::vector<int>& order,
+                                 bool repoint_helper);
+  /// The one take step: takes from `bucket` for `worker` and pays what
+  /// the take costs. Every take but one from the worker's own HF STB
+  /// serializes on the holding shard's lock; a cross-shard take adds two
+  /// rack hops and books a donation on the holding shard. A steal
+  /// re-points the helper at its victim when `repoint_helper` (HF only).
+  std::optional<Grant> TakeFrom(sim::NodeId worker,
+                                const std::vector<int>& order, size_t bucket,
+                                bool repoint_helper);
   /// Victim for a helper steal restricted to `order` levels, scanning
   /// only the members of `shard`; -1 if none.
   sim::NodeId ChooseVictim(sim::NodeId thief, const std::vector<int>& order,
@@ -321,8 +330,15 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// monotonically without coordination and a one-shard server produces
   /// exactly the historical dense sequence.
   Token MakeGeneratedToken(int level, std::vector<TokenDep> deps, int shard);
-  Grant MakeGrant(Token token, sim::NodeId worker, bool stolen,
-                  bool cross_shard, double delay);
+  /// Fills a taken grant's remote dependency fetches and books its
+  /// locality stats on the worker's shard.
+  void MakeGrant(sim::NodeId worker, Grant* grant);
+  /// Writes `worker`'s lease on `token` into `shard`'s table and arms its
+  /// expiry timer when leasing is on; returns the deadline (0 when off).
+  sim::SimTime ArmLease(int shard, sim::NodeId worker, const Token& token);
+  /// Queues `worker` on its shard's wait queue unless it already waits;
+  /// true when it was queued now.
+  bool Park(sim::NodeId worker);
   /// One pass over every live shard's wait queue (shards by index, FIFO
   /// within a shard), stopping once no bucket holds a token.
   void ServeWaiters();
@@ -335,7 +351,6 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// bumps the token's attempt count, returns it to the most local up
   /// worker's bucket, and serves waiters with the freed token.
   void ReclaimLease(int shard, TokenId id, bool expired);
-  void OnLeaseExpired(int shard, TokenId id);
   /// Best STB for a reclaimed token: its sample home / a dependency
   /// holder when that worker is up, else the first up worker.
   sim::NodeId ReclaimDestination(const Token& token) const;

@@ -81,8 +81,6 @@ void FelaWorker::ArmRetryTimer() {
       retry_timeout_sec_, kRetryBackoffMult, kRetryTimeoutMaxSec,
       retry_attempt_, kRetryJitterSeed, static_cast<uint64_t>(id_));
   const int inc = incarnation_;
-  // fela-lint: allow(untraced-event): retries trace as kRequestRetry at
-  // fire time; arming the timer itself is not an observable event.
   retry_timer_ = sim()->Schedule(delay, [this, inc] {
     retry_timer_ = sim::kInvalidEventId;
     if (inc != incarnation_) return;

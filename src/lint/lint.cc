@@ -33,9 +33,6 @@ const std::vector<RuleInfo> kRules = {
     {"unordered-iter",
      "iteration over a std::unordered_{map,set} member whose body emits "
      "events/output/IDs (iterate a sorted key snapshot instead)"},
-    {"untraced-event",
-     "event-queue mutation (Schedule/ScheduleAt) in an engine hot path "
-     "whose function records no FELA_TRACE"},
     {"transitive-wall-clock",
      "simulation code calls a function that (transitively) reaches a "
      "wall-clock time source"},
@@ -406,74 +403,6 @@ void CheckUnorderedIter(RuleContext& ctx,
   }
 }
 
-void CheckUntracedEvent(RuleContext& ctx) {
-  const auto& code = ctx.text.code;
-  // Track namespace depth so function definitions (at namespace scope,
-  // column 0 in this codebase's style) can be delimited by brace depth.
-  int depth = 0;
-  int ns_depth = 0;
-  size_t fn_start = 0;
-  bool in_fn = false;
-  bool has_trace = false;
-  int first_schedule = -1;
-  auto finish_fn = [&](size_t) {
-    if (first_schedule >= 0 && !has_trace) {
-      ctx.Report(static_cast<size_t>(first_schedule), "untraced-event",
-                 "Schedule()/ScheduleAt() in an engine hot path but the "
-                 "enclosing function records no FELA_TRACE");
-    }
-    in_fn = false;
-    has_trace = false;
-    first_schedule = -1;
-  };
-  for (size_t i = 0; i < code.size(); ++i) {
-    const std::string& line = code[i];
-    const std::string trimmed = Trim(line);
-    const bool is_namespace = trimmed.rfind("namespace", 0) == 0;
-    if (!in_fn && depth == ns_depth && !trimmed.empty() &&
-        trimmed[0] != '#' && trimmed[0] != '}' && !is_namespace &&
-        line.find('(') != std::string::npos &&
-        trimmed.rfind("using", 0) != 0 && trimmed.rfind("static_assert", 0) !=
-            0) {
-      in_fn = true;
-      fn_start = i;
-      has_trace = false;
-      first_schedule = -1;
-    }
-    if (in_fn) {
-      if (line.find("FELA_TRACE") != std::string::npos) has_trace = true;
-      if (first_schedule < 0) {
-        for (const char* p : {"Schedule(", "ScheduleAt("}) {
-          const size_t pos = line.find(p);
-          if (pos != std::string::npos && pos > 0 &&
-              (line[pos - 1] == '.' || line[pos - 1] == '>')) {
-            first_schedule = static_cast<int>(i);
-            break;
-          }
-        }
-      }
-    }
-    for (char c : line) {
-      if (c == '{') {
-        if (is_namespace && depth == ns_depth) ++ns_depth;
-        ++depth;
-      }
-      if (c == '}') {
-        --depth;
-        if (depth < ns_depth) ns_depth = depth;
-        if (in_fn && depth == ns_depth && i > fn_start) finish_fn(i);
-      }
-    }
-    if (in_fn && depth == ns_depth && !trimmed.empty() &&
-        trimmed.back() == ';' && i == fn_start &&
-        line.find('{') == std::string::npos) {
-      // A declaration, not a definition.
-      in_fn = false;
-    }
-  }
-  if (in_fn) finish_fn(code.size() - 1);
-}
-
 // ---------------------------------------------------------------------------
 // Scoping + file orchestration
 // ---------------------------------------------------------------------------
@@ -488,13 +417,6 @@ bool IsSimScoped(const std::vector<std::string>& parts) {
 
 bool IsSimScopedPath(const std::string& path) {
   return IsSimScoped(PathComponents(path));
-}
-
-bool IsEngineScoped(const std::string& path,
-                    const std::vector<std::string>& parts) {
-  const bool cc = path.size() > 3 && (path.rfind(".cc") == path.size() - 3 ||
-                                      path.rfind(".cpp") == path.size() - 4);
-  return cc && HasComponent(parts, {"core", "baselines"});
 }
 
 std::string SiblingHeaderPath(const std::string& path) {
@@ -522,9 +444,6 @@ std::vector<Finding> LintFileImpl(const std::string& path,
     std::set<std::string> members = CollectUnorderedMembers(text);
     members.insert(extra_members.begin(), extra_members.end());
     CheckUnorderedIter(ctx, members);
-  }
-  if (IsEngineScoped(path, parts) && RuleEnabled(options, "untraced-event")) {
-    CheckUntracedEvent(ctx);
   }
 
   std::sort(findings.begin(), findings.end(),

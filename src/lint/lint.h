@@ -32,7 +32,6 @@ struct RuleInfo {
 ///   wall-clock       wall-clock time source in deterministic sim code
 ///   unseeded-rng     unseeded/global randomness (only fela::common::Rng)
 ///   unordered-iter   emitting iteration over an unordered container
-///   untraced-event   FELA_TRACE-free event scheduling in engine hot paths
 /// Whole-tree (interprocedural) rules, only run by LintTree:
 ///   transitive-wall-clock  sim code calls a helper that reaches a wall clock
 ///   transitive-rng         sim code calls a helper that reaches unseeded RNG

@@ -94,11 +94,6 @@ common::TokenizedDetail TraceRecord::detail() const {
   return detail;
 }
 
-std::string RenderTraceDetail(const TraceRecord& record,
-                              const common::TokenRegistry* registry) {
-  return common::Detokenize(record.detail(), registry);
-}
-
 std::vector<TraceEvent> TraceRecorder::events() const {
   std::vector<TraceEvent> ordered;
   ordered.reserve(records_.size());

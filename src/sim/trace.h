@@ -128,10 +128,6 @@ void AppendTraceDroppedHeader(std::string* out, size_t dropped,
 void AppendTraceLine(std::string* out, SimTime time, NodeId node,
                      TraceKind kind, const std::string& detail);
 
-/// Renders one stored record's detail ("" when it has none).
-std::string RenderTraceDetail(const TraceRecord& record,
-                              const common::TokenRegistry* registry = nullptr);
-
 }  // namespace fela::sim
 
 /// Records a trace event without evaluating the detail unless the

@@ -102,46 +102,6 @@ bool ParseOneLiteral(const std::string& src, size_t* pos, std::string* out,
   return true;
 }
 
-/// Validates a format against what the 4-slot numeric arg pack can
-/// carry; returns false with a reason otherwise.
-bool ValidateFmt(const std::string& fmt, std::string* why) {
-  int specs = 0;
-  for (size_t i = 0; i < fmt.size(); ++i) {
-    if (fmt[i] != '%') continue;
-    if (i + 1 < fmt.size() && fmt[i + 1] == '%') {
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < fmt.size() &&
-           std::string_view("-+ #0123456789.lhzjtL").find(fmt[j]) !=
-               std::string_view::npos) {
-      ++j;
-    }
-    if (j >= fmt.size()) {
-      *why = "dangling % at end of format";
-      return false;
-    }
-    const char conv = fmt[j];
-    if (conv == 's' || conv == 'p' || conv == 'n') {
-      *why = common::StrFormat(
-          "%%%c cannot be tokenized (args are packed numerics); write "
-          "the text into the format string itself",
-          conv);
-      return false;
-    }
-    ++specs;
-    i = j;
-  }
-  if (specs > 4) {
-    *why = common::StrFormat("%d conversion specs; tokenized details carry "
-                             "at most 4 args",
-                             specs);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool ExtractTokenFmts(const std::string& path, const std::string& source,
@@ -215,7 +175,7 @@ bool ExtractTokenFmts(const std::string& path, const std::string& source,
       }
       return false;
     }
-    if (!ValidateFmt(fmt, &why)) {
+    if (!common::ValidateTokenFormat(fmt, &why)) {
       if (error != nullptr) {
         *error = common::StrFormat("%s:%d: \"%s\": %s", path.c_str(),
                                    LineOfOffset(src, site), fmt.c_str(),

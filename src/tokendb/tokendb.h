@@ -27,10 +27,9 @@ struct TokenSite {
 /// Extracts every FELA_TOK("...") format literal from one source file
 /// (comments stripped first; adjacent-literal concatenation honored).
 /// Returns false — with file:line context in `error` — when a site is
-/// malformed (non-literal argument, bad escape) or violates tokenized-
-/// format policy: more than four conversion specs, or a spec the
-/// fixed-width arg slots cannot carry (%s, %p, %n). The macro
-/// definition itself (`FELA_TOK(fmt)`) is skipped.
+/// malformed (non-literal argument, bad escape) or its format breaks
+/// common::ValidateTokenFormat. The macro definition itself
+/// (`FELA_TOK(fmt)`) is skipped.
 bool ExtractTokenFmts(const std::string& path, const std::string& source,
                       std::vector<TokenSite>* out, std::string* error);
 

@@ -228,6 +228,19 @@ TEST(TokenDbCsvTest, MalformedRowsAreRejectedWithLineNumbers) {
                               &error));
   EXPECT_FALSE(LoadTokenDbCsv("token,fmt\n12345678,\"open\n", &registry,
                               &error));
+  // A width or precision of three digits would size every rendering of
+  // the row by it; two digits load.
+  EXPECT_FALSE(LoadTokenDbCsv(
+      "token,fmt\n0000abcd,\"w=%99d p=%.99f\"\n0000abce,\"w=%100d\"\n",
+      &registry, &error));
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("%100d"), std::string::npos) << error;
+  EXPECT_FALSE(LoadTokenDbCsv("token,fmt\n0000abcf,\"p=%.100f\"\n",
+                              &registry, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  ASSERT_NE(registry.Find(0xabcd), nullptr);
+  EXPECT_EQ(registry.Find(0xabce), nullptr);
+  EXPECT_EQ(registry.Find(0xabcf), nullptr);
 }
 
 TEST(TokArgsTest, TypeTagsTrackSignedness) {

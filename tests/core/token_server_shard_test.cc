@@ -7,14 +7,21 @@
 // fence/restore failover); (2) sharded runs keep the conservation
 // ledger per shard and cluster-wide and replay deterministically; (3) an
 // imbalanced-STB spec (one rack gray-slowed) actually exercises the
-// hierarchical cross-shard steal path.
+// hierarchical cross-shard steal path; (4) observed fault-free runs that
+// reach the donor rungs of the take ladder, and a CTD hunt steal, replay
+// against golden transcript fingerprints.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <ostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "core/fela_config.h"
 #include "core/fela_engine.h"
 #include "core/token_server.h"
@@ -26,6 +33,7 @@
 #include "sim/faults.h"
 #include "sim/topology.h"
 #include "suite/suite.h"
+#include "testing/spec_gen.h"
 
 namespace fela::runtime {
 namespace {
@@ -262,6 +270,85 @@ TEST(CrossShardSteal, ImbalancedStbForcesHierarchicalSteal) {
   EXPECT_TRUE(probed);
   EXPECT_FALSE(result.stats.stalled);
 }
+
+// --- Take-path goldens ------------------------------------------------
+
+/// An observed, fault-free Fela run whose grants reach a given rung of
+/// the take ladder. The spec is a checked-in fuzz spec carrying every
+/// field, read through SpecFromJson, so a change to the generator cannot
+/// move it; the fingerprints are FNV-1a of its binary and text
+/// determinism transcripts.
+struct TakePathGolden {
+  const char* name;
+  const char* spec_file;
+  uint64_t binary;
+  uint64_t text;
+  bool donor_rung;  // reaches a donor shard; else only local steals
+};
+
+const TakePathGolden kTakePathGoldens[] = {
+    // HF, CTD subset 9 of 16, ADS off, ts_shards 3: the CTD hunt and the
+    // helper steal both reach donor shards.
+    {"HfAndCtdDonorSeed122", "hf_and_ctd_donor_seed122.json",
+     0xc854da9218e3c2b9ull, 0x9109a2dd6c5041c9ull, true},
+    // HF, CTD subset 1 of 4, racks of 2, ts_shards 3: the CTD hunt's donor
+    // rung.
+    {"CtdDonorSeed156", "ctd_donor_seed156.json", 0x76db08aa456acf72ull,
+     0x66d5442451966786ull, true},
+    // No HF, ADS on, racks of 4: a dry shard bucket takes from the donor
+    // shard's bucket.
+    {"NoHfDonorSeed202", "no_hf_donor_seed202.json", 0xf3ef0c987525fba6ull,
+     0x7106cb9eeddc4dfcull, true},
+    // HF, CTD subset 2 of 3, one shard: CTD hunt steals from a victim,
+    // which must leave the helper assignment alone (re-pointing it moves
+    // these bytes).
+    {"CtdHuntVictimSeed104", "ctd_hunt_victim_seed104.json",
+     0x412f2b85efd33f21ull, 0x6b0da4715c912ffbull, false},
+};
+
+void PrintTo(const TakePathGolden& golden, std::ostream* os) {
+  *os << golden.name;
+}
+
+class TakePathGoldenTest : public ::testing::TestWithParam<TakePathGolden> {};
+
+TEST_P(TakePathGoldenTest, TranscriptsMatchGolden) {
+  const TakePathGolden& golden = GetParam();
+  std::ifstream in(std::string(FELA_TAKE_PATH_SPEC_DIR) + "/" +
+                   golden.spec_file);
+  ASSERT_TRUE(in.good()) << golden.spec_file;
+  std::stringstream text;
+  text << in.rdbuf();
+  common::Json json;
+  std::string error;
+  ASSERT_TRUE(common::Json::Parse(text.str(), &json, &error)) << error;
+  fela::testing::FuzzSpec fuzz;
+  ASSERT_TRUE(fela::testing::SpecFromJson(json, &fuzz, &error)) << error;
+  fuzz.observe = true;  // transcripts require the observability layer
+  ExperimentSpec spec = fela::testing::ToExperimentSpec(fuzz);
+  core::TokenServer::Stats stats;
+  spec.post_run_probe = [&](const Engine& engine, Cluster&) {
+    stats = dynamic_cast<const core::FelaEngine&>(engine).ts_stats();
+  };
+  const ExperimentResult r =
+      RunExperiment(spec, fela::testing::MakeEngineFactory(fuzz),
+                    fela::testing::MakeStragglerFactory(fuzz),
+                    fela::testing::MakeFaultFactory(fuzz));
+  EXPECT_EQ(Fnv1a64(BinaryTranscript(r)), golden.binary);
+  EXPECT_EQ(Fnv1a64(DeterminismTranscript(r)), golden.text);
+  // The run took the rung it pins.
+  EXPECT_GT(stats.steals, 0u);
+  if (golden.donor_rung) {
+    EXPECT_GT(stats.donations, 0u);
+    EXPECT_GT(stats.cross_shard_steals, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TakePaths, TakePathGoldenTest, ::testing::ValuesIn(kTakePathGoldens),
+    [](const ::testing::TestParamInfo<TakePathGolden>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace fela::runtime

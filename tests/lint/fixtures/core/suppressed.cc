@@ -6,10 +6,6 @@
 
 namespace fela::fixture {
 
-struct Sim {
-  void Schedule(double delay, int payload);
-};
-
 // fela-lint: allow(wall-clock): fixture: suppression on preceding line
 double Wall() { return clock(); }
 
@@ -28,10 +24,5 @@ class Quiet {
   void Emit(int id);
   std::unordered_set<int> held_;
 };
-
-void Silent(Sim* sim_) {
-  // fela-lint: allow(untraced-event): fixture
-  sim_->Schedule(0.0, 0);
-}
 
 }  // namespace fela::fixture

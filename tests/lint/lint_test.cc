@@ -88,7 +88,7 @@ class TempFile {
 
 TEST(LintRulesTest, EveryRuleFiresExactlyOnceOnItsFixture) {
   const std::vector<Finding> findings = LintFixtures();
-  ASSERT_EQ(findings.size(), 13u);
+  ASSERT_EQ(findings.size(), 12u);
 
   struct Expected {
     const char* rule;
@@ -101,7 +101,6 @@ TEST(LintRulesTest, EveryRuleFiresExactlyOnceOnItsFixture) {
       {"unordered-iter", "core/unordered_iter_violation.cc", 10},
       {"unordered-iter", "core/cross_header_member_violation.cc", 9},
       {"unordered-iter", "core/local_unordered_violation.cc", 12},
-      {"untraced-event", "core/untraced_event_violation.cc", 11},
       // A reasonless allow() suppresses nothing.
       {"unseeded-rng", "core/bare_allow_violation.cc", 6},
       {"guarded-by", "core/guarded_by_violation.cc", 13},
@@ -343,7 +342,7 @@ TEST(LintJsonTest, ReportPassesSharedLintValidator) {
   Timings timings;
   ASSERT_TRUE(LintTree({kFixtureDir}, Options{}, &findings, &error, &timings))
       << error;
-  EXPECT_EQ(timings.files, 19u);  // every fixture .h/.cc was scanned
+  EXPECT_EQ(timings.files, 18u);  // every fixture .h/.cc was scanned
   common::Json doc;
   ASSERT_TRUE(common::Json::Parse(ReportToJson(findings, timings), &doc,
                                   &error))
@@ -471,7 +470,7 @@ TEST(LintBaselineTest, CliRatchetToleratesBaselinedAndRejectsFresh) {
                    out, err),
             0)
       << err.str();
-  EXPECT_NE(out.str().find("baseline updated (13 entries)"),
+  EXPECT_NE(out.str().find("baseline updated (12 entries)"),
             std::string::npos)
       << out.str();
 
@@ -481,7 +480,7 @@ TEST(LintBaselineTest, CliRatchetToleratesBaselinedAndRejectsFresh) {
   EXPECT_EQ(RunCli({"--baseline=" + baseline.path(), kFixtureDir}, out, err),
             0)
       << out.str();
-  EXPECT_NE(err.str().find("13 baselined finding(s) tolerated"),
+  EXPECT_NE(err.str().find("12 baselined finding(s) tolerated"),
             std::string::npos)
       << err.str();
 
@@ -568,14 +567,14 @@ TEST(LintCliTest, TableOutputNamesEveryRule) {
   for (const RuleInfo& r : Rules()) {
     EXPECT_NE(table.find(r.id), std::string::npos) << r.id;
   }
-  EXPECT_NE(table.find("13 finding(s)"), std::string::npos);
+  EXPECT_NE(table.find("12 finding(s)"), std::string::npos);
 }
 
 TEST(LintCliTest, ListRulesCoversEveryRule) {
   std::ostringstream out;
   std::ostringstream err;
   ASSERT_EQ(RunCli({"--list-rules"}, out, err), 0);
-  EXPECT_EQ(Rules().size(), 9u);
+  EXPECT_EQ(Rules().size(), 8u);
   for (const RuleInfo& r : Rules()) {
     EXPECT_NE(out.str().find(r.id), std::string::npos) << r.id;
     EXPECT_TRUE(IsKnownRule(r.id));

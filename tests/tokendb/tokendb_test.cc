@@ -58,6 +58,16 @@ TEST(ExtractTest, RejectsPolicyViolations) {
   // A non-literal argument cannot be hashed at scan time.
   EXPECT_FALSE(ExtractTokenFmts("x.cc", "FELA_TOK(fmt_var);\n", &sites,
                                 &error));
+  // A width or precision wider than two digits.
+  EXPECT_FALSE(ExtractTokenFmts("x.cc", "\nFELA_TOK(\"w=%100d\");\n",
+                                &sites, &error));
+  EXPECT_NE(error.find("x.cc:2"), std::string::npos) << error;
+  EXPECT_FALSE(ExtractTokenFmts("x.cc", "FELA_TOK(\"p=%.100f\");\n", &sites,
+                                &error));
+  EXPECT_TRUE(sites.empty());
+  EXPECT_TRUE(ExtractTokenFmts("x.cc", "FELA_TOK(\"w=%-10d p=%.12f\");\n",
+                               &sites, &error))
+      << error;
 }
 
 TEST(RegisterSitesTest, DetectsCraftedCollisions) {
