@@ -6,141 +6,43 @@
 // 2.70x~4.25x vs MP, 27.13%~80.29% vs HP; PID reduced 23.23%~51.36%
 // vs DP and 6.97%~65.12% vs HP.
 
-#include <cstdio>
-#include <iostream>
+#include <memory>
 
 #include "bench_util.h"
+#include "common/string_util.h"
 #include "model/zoo.h"
 
 int main(int argc, char** argv) {
   using namespace fela;
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
-  bench::PrintHeader("Figure 10: Probability-Based Straggler Scenario");
-
-  struct ModelCase {
-    model::Model model;
-    double batch;
-    double delay;
-    const char* label;
-  };
-  std::vector<ModelCase> cases = {
-      {model::zoo::Vgg19(), 512, 6.0, "VGG19"},
-      {model::zoo::GoogLeNet(), 2048, 3.0, "GoogLeNet"},
-  };
-  if (opts.smoke) cases.erase(cases.begin() + 1, cases.end());
-  const std::vector<double> probabilities =
-      opts.Sweep<double>({0.1, 0.2, 0.3, 0.4, 0.5});
   const uint64_t kSeed = 20200420;  // ICDE 2020 :-)
-
-  // Stage every (model, p) point on the sweep runner, then render
-  // serially in sweep order — output is byte-identical for any --jobs.
-  struct Point {
-    size_t case_index;
-    double p;
-    runtime::PidResult dp, mp, hp, fela;
+  auto probability = [kSeed](double p, double d)
+      -> std::unique_ptr<sim::StragglerSchedule> {
+    return std::make_unique<sim::ProbabilityStragglers>(p, d, kSeed);
   };
-  std::vector<Point> points;
-  for (size_t ci = 0; ci < cases.size(); ++ci) {
-    for (double p : probabilities) {
-      points.push_back(Point{ci, p, {}, {}, {}, {}});
-    }
-  }
-  runtime::SweepRunner runner = opts.Runner();
-  for (Point& pt : points) {
-    runner.Add([&opts, &cases, &pt, kSeed] {
-      const auto& mc = cases[pt.case_index];
-      const double p = pt.p;
-      const double d = mc.delay;
-      auto stragglers = [p, d, kSeed](int) -> std::unique_ptr<sim::StragglerSchedule> {
-        return std::make_unique<sim::ProbabilityStragglers>(p, d, kSeed);
-      };
-      runtime::ExperimentSpec spec;
-      spec.total_batch = mc.batch;
-      spec.iterations = opts.iterations();
-      spec.observe = opts.json;
-      const auto cfg = suite::TunedFelaConfig(
-          mc.model, mc.batch, 8, opts.smoke ? 1 : 5,
-          sim::Calibration::Default(), stragglers);
-
-      auto pid_of = [&](const runtime::EngineFactory& f) {
-        return runtime::RunPidExperiment(spec, f, stragglers);
-      };
-      pt.dp = pid_of(suite::DpFactory(mc.model));
-      pt.mp = pid_of(suite::MpFactory(mc.model));
-      pt.hp = pid_of(suite::HpFactory(mc.model));
-      pt.fela = pid_of(suite::FelaFactory(mc.model, cfg));
-    });
-  }
-  runner.RunAll();
-
-  obs::BenchReport report("fig10_probability");
-  size_t next_point = 0;
-  for (size_t ci = 0; ci < cases.size(); ++ci) {
-    const auto& mc = cases[ci];
-    std::vector<runtime::ComparisonRow> at_rows;
-    std::vector<runtime::ComparisonRow> pid_rows;
-    for (; next_point < points.size() && points[next_point].case_index == ci;
-         ++next_point) {
-      const Point& pt = points[next_point];
-      const double p = pt.p;
-      const auto& dp = pt.dp;
-      const auto& mp = pt.mp;
-      const auto& hp = pt.hp;
-      const auto& fela = pt.fela;
-      for (const auto* pr : {&dp, &mp, &hp, &fela}) {
-        report.Add(pr->with_stragglers, p);
-      }
-      if (fela.with_stragglers.observed) {
-        std::printf("\n[%s p=%g]\n", mc.label, p);
-        std::cout << runtime::RenderAttributionTable(
-            fela.with_stragglers.attribution);
-      }
-      at_rows.push_back(runtime::ComparisonRow{
-          p,
-          {dp.with_stragglers.average_throughput,
-           mp.with_stragglers.average_throughput,
-           hp.with_stragglers.average_throughput,
-           fela.with_stragglers.average_throughput}});
-      pid_rows.push_back(runtime::ComparisonRow{
-          p,
-          {dp.per_iteration_delay, mp.per_iteration_delay,
-           hp.per_iteration_delay, fela.per_iteration_delay}});
-    }
-
-    std::printf("\n%s (total batch %g, d = %gs):\n", mc.label, mc.batch,
-                mc.delay);
-    std::cout << runtime::RenderComparisonTable(
-        "average throughput (samples/s) vs straggler probability p", "p",
-        suite::EngineNames(), at_rows, suite::kFelaColumn);
-    bench::PrintGainSummary(mc.label, at_rows);
-
-    common::TablePrinter pid_table({"p", "DP PID", "MP PID", "HP PID",
-                                    "Fela PID", "Fela vs DP", "Fela vs HP"});
-    for (const auto& row : pid_rows) {
-      pid_table.AddRow(
-          {common::TablePrinter::Num(row.x, 1),
-           common::TablePrinter::Num(row.values[0], 2),
-           common::TablePrinter::Num(row.values[1], 2),
-           common::TablePrinter::Num(row.values[2], 2),
-           common::TablePrinter::Num(row.values[3], 2),
-           common::TablePrinter::Percent(1 - row.values[3] / row.values[0]),
-           common::TablePrinter::Percent(1 - row.values[3] / row.values[2])});
-    }
-    std::printf("\nper-iteration delay (Eq. 4, seconds):\n");
-    pid_table.Print(std::cout);
-  }
-  std::printf(
-      "\npaper (VGG19): Fela PID 23.23%%~51.36%% below DP, 6.97%%~65.12%% "
-      "below HP.\n");
-  runtime::ExperimentSpec gate;
-  gate.total_batch = 256;
-  gate.iterations = 4;
-  const int rc = bench::VerifyDeterminismGate(
-      opts, "fig10", gate,
-      suite::FelaFactory(model::zoo::Vgg19(),
-                         core::FelaConfig::Defaults(3, 8)),
-      [kSeed](int) -> std::unique_ptr<sim::StragglerSchedule> {
-        return std::make_unique<sim::ProbabilityStragglers>(0.3, 6.0, kSeed);
-      });
-  return bench::FinishBench(opts, report) | rc;
+  // A case whose workers straggle by `d` seconds, swept over p.
+  auto probability_case = [probability](model::Model model, double batch,
+                                        const char* label, double d) {
+    return bench::StragglerCase{
+        std::move(model), batch, label, common::StrFormat(", d = %gs", d),
+        {0.1, 0.2, 0.3, 0.4, 0.5},
+        [probability, d](double p, int) { return probability(p, d); }};
+  };
+  bench::StragglerFigure fig;
+  fig.title = "Figure 10: Probability-Based Straggler Scenario";
+  fig.bench = "fig10_probability";
+  fig.gate = "fig10";
+  fig.axis = "p";
+  fig.axis_header = "p";
+  fig.axis_precision = 1;
+  fig.at_title = "average throughput (samples/s) vs straggler probability p";
+  fig.paper_note =
+      "paper (VGG19): Fela PID 23.23%~51.36% below DP, 6.97%~65.12% "
+      "below HP.";
+  fig.cases = {
+      probability_case(model::zoo::Vgg19(), 512, "VGG19", 6.0),
+      probability_case(model::zoo::GoogLeNet(), 2048, "GoogLeNet", 3.0),
+  };
+  fig.gate_stragglers = [probability](int) { return probability(0.3, 6.0); };
+  return bench::RunStragglerFigure(opts, fig);
 }

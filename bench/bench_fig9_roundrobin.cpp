@@ -6,8 +6,7 @@
 // 30.35%~68.19% vs DP, 26.00%~64.86% vs HP. PID of Fela can exceed MP
 // (MP's idle workers absorb the sleep).
 
-#include <cstdio>
-#include <iostream>
+#include <memory>
 
 #include "bench_util.h"
 #include "model/zoo.h"
@@ -15,130 +14,28 @@
 int main(int argc, char** argv) {
   using namespace fela;
   const bench::BenchOptions opts = bench::ParseBenchArgs(argc, argv);
-  bench::PrintHeader("Figure 9: Round-Robin Straggler Scenario");
-
-  struct ModelCase {
-    model::Model model;
-    double batch;
-    std::vector<double> delays;
-    const char* label;
+  auto round_robin = [](double d,
+                        int n) -> std::unique_ptr<sim::StragglerSchedule> {
+    return std::make_unique<sim::RoundRobinStragglers>(n, d);
   };
+  bench::StragglerFigure fig;
+  fig.title = "Figure 9: Round-Robin Straggler Scenario";
+  fig.bench = "fig9_roundrobin";
+  fig.gate = "fig9";
+  fig.axis = "d";
+  fig.axis_header = "d (s)";
+  fig.axis_precision = 0;
+  fig.at_title = "average throughput (samples/s) vs straggler delay d";
+  fig.paper_note =
+      "paper (VGG19): Fela PID 30.35%~68.19% below DP, "
+      "26.00%~64.86% below HP.";
   // The paper fixes a training batch and sweeps d (VGG19: 2..10s,
   // GoogLeNet: 1..5s). We use the mid-sweep batch for each benchmark.
-  std::vector<ModelCase> cases = {
-      {model::zoo::Vgg19(), 512, {2, 4, 6, 8, 10}, "VGG19"},
-      {model::zoo::GoogLeNet(), 2048, {1, 2, 3, 4, 5}, "GoogLeNet"},
+  fig.cases = {
+      {model::zoo::Vgg19(), 512, "VGG19", "", {2, 4, 6, 8, 10}, round_robin},
+      {model::zoo::GoogLeNet(), 2048, "GoogLeNet", "", {1, 2, 3, 4, 5},
+       round_robin},
   };
-  if (opts.smoke) cases.erase(cases.begin() + 1, cases.end());
-
-  // Stage every (model, d) point on the sweep runner, then render
-  // serially in sweep order — output is byte-identical for any --jobs.
-  struct Point {
-    size_t case_index;
-    double d;
-    runtime::PidResult dp, mp, hp, fela;
-  };
-  std::vector<Point> points;
-  for (size_t ci = 0; ci < cases.size(); ++ci) {
-    for (double d : opts.Sweep(cases[ci].delays)) {
-      points.push_back(Point{ci, d, {}, {}, {}, {}});
-    }
-  }
-  runtime::SweepRunner runner = opts.Runner();
-  for (Point& pt : points) {
-    runner.Add([&opts, &cases, &pt] {
-      const auto& mc = cases[pt.case_index];
-      const double d = pt.d;
-      auto stragglers = [d](int n) {
-        return std::make_unique<sim::RoundRobinStragglers>(n, d);
-      };
-      runtime::ExperimentSpec spec;
-      spec.total_batch = mc.batch;
-      spec.iterations = opts.iterations();
-      spec.observe = opts.json;
-      // Elastic tuning happens in-situ: the warm-up sees the stragglers.
-      const auto cfg = suite::TunedFelaConfig(
-          mc.model, mc.batch, 8, opts.smoke ? 1 : 5,
-          sim::Calibration::Default(), stragglers);
-
-      auto pid_of = [&](const runtime::EngineFactory& f) {
-        return runtime::RunPidExperiment(spec, f, stragglers);
-      };
-      pt.dp = pid_of(suite::DpFactory(mc.model));
-      pt.mp = pid_of(suite::MpFactory(mc.model));
-      pt.hp = pid_of(suite::HpFactory(mc.model));
-      pt.fela = pid_of(suite::FelaFactory(mc.model, cfg));
-    });
-  }
-  runner.RunAll();
-
-  obs::BenchReport report("fig9_roundrobin");
-  size_t next_point = 0;
-  for (size_t ci = 0; ci < cases.size(); ++ci) {
-    const auto& mc = cases[ci];
-    std::vector<runtime::ComparisonRow> at_rows;
-    std::vector<runtime::ComparisonRow> pid_rows;
-    for (; next_point < points.size() && points[next_point].case_index == ci;
-         ++next_point) {
-      const Point& pt = points[next_point];
-      const double d = pt.d;
-      const auto& dp = pt.dp;
-      const auto& mp = pt.mp;
-      const auto& hp = pt.hp;
-      const auto& fela = pt.fela;
-      for (const auto* pr : {&dp, &mp, &hp, &fela}) {
-        report.Add(pr->with_stragglers, d);
-      }
-      if (fela.with_stragglers.observed) {
-        std::printf("\n[%s d=%g]\n", mc.label, d);
-        std::cout << runtime::RenderAttributionTable(
-            fela.with_stragglers.attribution);
-      }
-      at_rows.push_back(runtime::ComparisonRow{
-          d,
-          {dp.with_stragglers.average_throughput,
-           mp.with_stragglers.average_throughput,
-           hp.with_stragglers.average_throughput,
-           fela.with_stragglers.average_throughput}});
-      pid_rows.push_back(runtime::ComparisonRow{
-          d,
-          {dp.per_iteration_delay, mp.per_iteration_delay,
-           hp.per_iteration_delay, fela.per_iteration_delay}});
-    }
-
-    std::printf("\n%s (total batch %g):\n", mc.label, mc.batch);
-    std::cout << runtime::RenderComparisonTable(
-        "average throughput (samples/s) vs straggler delay d", "d (s)",
-        suite::EngineNames(), at_rows, suite::kFelaColumn);
-    bench::PrintGainSummary(mc.label, at_rows);
-
-    common::TablePrinter pid_table({"d (s)", "DP PID", "MP PID", "HP PID",
-                                    "Fela PID", "Fela vs DP", "Fela vs HP"});
-    for (const auto& row : pid_rows) {
-      pid_table.AddRow(
-          {common::TablePrinter::Num(row.x, 0),
-           common::TablePrinter::Num(row.values[0], 2),
-           common::TablePrinter::Num(row.values[1], 2),
-           common::TablePrinter::Num(row.values[2], 2),
-           common::TablePrinter::Num(row.values[3], 2),
-           common::TablePrinter::Percent(1 - row.values[3] / row.values[0]),
-           common::TablePrinter::Percent(1 - row.values[3] / row.values[2])});
-    }
-    std::printf("\nper-iteration delay (Eq. 4, seconds):\n");
-    pid_table.Print(std::cout);
-  }
-  std::printf(
-      "\npaper (VGG19): Fela PID 30.35%%~68.19%% below DP, "
-      "26.00%%~64.86%% below HP.\n");
-  runtime::ExperimentSpec gate;
-  gate.total_batch = 256;
-  gate.iterations = 4;
-  const int rc = bench::VerifyDeterminismGate(
-      opts, "fig9", gate,
-      suite::FelaFactory(model::zoo::Vgg19(),
-                         core::FelaConfig::Defaults(3, 8)),
-      [](int n) -> std::unique_ptr<sim::StragglerSchedule> {
-        return std::make_unique<sim::RoundRobinStragglers>(n, 4.0);
-      });
-  return bench::FinishBench(opts, report) | rc;
+  fig.gate_stragglers = [round_robin](int n) { return round_robin(4.0, n); };
+  return bench::RunStragglerFigure(opts, fig);
 }

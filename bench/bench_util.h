@@ -6,11 +6,14 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
+#include "model/zoo.h"
 #include "runtime/bench_json.h"
 #include "runtime/determinism.h"
 #include "runtime/report.h"
@@ -166,6 +169,151 @@ inline void PrintGainSummary(const std::string& model,
                 runtime::FormatGain(lo).c_str(),
                 runtime::FormatGain(hi).c_str());
   }
+}
+
+/// One model of a straggler figure: its training batch, the swept
+/// straggler parameter, and the schedule each sweep point runs under.
+struct StragglerCase {
+  model::Model model;
+  double batch = 0.0;
+  const char* label = "";
+  /// Printed after "(total batch B" in the case's heading; "" for none.
+  std::string heading_note;
+  std::vector<double> sweep;
+  /// The straggler schedule at sweep point `x` for an `n`-worker cluster.
+  std::function<std::unique_ptr<sim::StragglerSchedule>(double x, int n)>
+      stragglers;
+};
+
+/// A straggler figure (Figs. 9 and 10): AT and per-iteration delay of
+/// DP, MP, HP and in-situ tuned Fela over one straggler parameter.
+struct StragglerFigure {
+  std::string title;
+  std::string bench;  // BENCH_<bench>.json
+  std::string gate;   // determinism[<gate>]
+  const char* axis = "";  // the swept parameter's name, e.g. "d"
+  std::string axis_header;
+  int axis_precision = 0;  // decimals of the PID table's first column
+  std::string at_title;
+  std::string paper_note;
+  std::vector<StragglerCase> cases;
+  /// The determinism gate's schedule (VGG19, batch 256, 4 iterations).
+  runtime::StragglerFactory gate_stragglers;
+};
+
+/// Runs `fig`: stages every (case, sweep point) on the sweep runner, then
+/// renders serially in sweep order, so output is byte-identical for any
+/// --jobs. --smoke keeps the first case and its first sweep point.
+/// Returns the bench's exit code.
+inline int RunStragglerFigure(const BenchOptions& opts, StragglerFigure fig) {
+  PrintHeader(fig.title);
+  if (opts.smoke) fig.cases.erase(fig.cases.begin() + 1, fig.cases.end());
+
+  struct Point {
+    size_t case_index;
+    double x;
+    runtime::PidResult dp, mp, hp, fela;
+  };
+  std::vector<Point> points;
+  for (size_t ci = 0; ci < fig.cases.size(); ++ci) {
+    for (double x : opts.Sweep(fig.cases[ci].sweep)) {
+      points.push_back(Point{ci, x, {}, {}, {}, {}});
+    }
+  }
+  runtime::SweepRunner runner = opts.Runner();
+  for (Point& pt : points) {
+    runner.Add([&opts, &fig, &pt] {
+      const StragglerCase& mc = fig.cases[pt.case_index];
+      const double x = pt.x;
+      const runtime::StragglerFactory stragglers = [&mc, x](int n) {
+        return mc.stragglers(x, n);
+      };
+      runtime::ExperimentSpec spec;
+      spec.total_batch = mc.batch;
+      spec.iterations = opts.iterations();
+      spec.observe = opts.json;
+      // Elastic tuning happens in-situ: the warm-up sees the stragglers.
+      const auto cfg = suite::TunedFelaConfig(
+          mc.model, mc.batch, 8, opts.smoke ? 1 : 5,
+          sim::Calibration::Default(), stragglers);
+
+      auto pid_of = [&](const runtime::EngineFactory& f) {
+        return runtime::RunPidExperiment(spec, f, stragglers);
+      };
+      pt.dp = pid_of(suite::DpFactory(mc.model));
+      pt.mp = pid_of(suite::MpFactory(mc.model));
+      pt.hp = pid_of(suite::HpFactory(mc.model));
+      pt.fela = pid_of(suite::FelaFactory(mc.model, cfg));
+    });
+  }
+  runner.RunAll();
+
+  obs::BenchReport report(fig.bench);
+  size_t next_point = 0;
+  for (size_t ci = 0; ci < fig.cases.size(); ++ci) {
+    const StragglerCase& mc = fig.cases[ci];
+    std::vector<runtime::ComparisonRow> at_rows;
+    std::vector<runtime::ComparisonRow> pid_rows;
+    for (; next_point < points.size() && points[next_point].case_index == ci;
+         ++next_point) {
+      const Point& pt = points[next_point];
+      const auto& dp = pt.dp;
+      const auto& mp = pt.mp;
+      const auto& hp = pt.hp;
+      const auto& fela = pt.fela;
+      for (const auto* pr : {&dp, &mp, &hp, &fela}) {
+        report.Add(pr->with_stragglers, pt.x);
+      }
+      if (fela.with_stragglers.observed) {
+        std::printf("\n[%s %s=%g]\n", mc.label, fig.axis, pt.x);
+        std::cout << runtime::RenderAttributionTable(
+            fela.with_stragglers.attribution);
+      }
+      at_rows.push_back(runtime::ComparisonRow{
+          pt.x,
+          {dp.with_stragglers.average_throughput,
+           mp.with_stragglers.average_throughput,
+           hp.with_stragglers.average_throughput,
+           fela.with_stragglers.average_throughput}});
+      pid_rows.push_back(runtime::ComparisonRow{
+          pt.x,
+          {dp.per_iteration_delay, mp.per_iteration_delay,
+           hp.per_iteration_delay, fela.per_iteration_delay}});
+    }
+
+    std::printf("\n%s (total batch %g%s):\n", mc.label, mc.batch,
+                mc.heading_note.c_str());
+    std::cout << runtime::RenderComparisonTable(
+        fig.at_title, fig.axis_header, suite::EngineNames(), at_rows,
+        suite::kFelaColumn);
+    PrintGainSummary(mc.label, at_rows);
+
+    common::TablePrinter pid_table({fig.axis_header, "DP PID", "MP PID",
+                                    "HP PID", "Fela PID", "Fela vs DP",
+                                    "Fela vs HP"});
+    for (const auto& row : pid_rows) {
+      pid_table.AddRow(
+          {common::TablePrinter::Num(row.x, fig.axis_precision),
+           common::TablePrinter::Num(row.values[0], 2),
+           common::TablePrinter::Num(row.values[1], 2),
+           common::TablePrinter::Num(row.values[2], 2),
+           common::TablePrinter::Num(row.values[3], 2),
+           common::TablePrinter::Percent(1 - row.values[3] / row.values[0]),
+           common::TablePrinter::Percent(1 - row.values[3] / row.values[2])});
+    }
+    std::printf("\nper-iteration delay (Eq. 4, seconds):\n");
+    pid_table.Print(std::cout);
+  }
+  std::printf("\n%s\n", fig.paper_note.c_str());
+  runtime::ExperimentSpec gate;
+  gate.total_batch = 256;
+  gate.iterations = 4;
+  const int rc = VerifyDeterminismGate(
+      opts, fig.gate, gate,
+      suite::FelaFactory(model::zoo::Vgg19(),
+                         core::FelaConfig::Defaults(3, 8)),
+      fig.gate_stragglers);
+  return FinishBench(opts, report) | rc;
 }
 
 }  // namespace fela::bench

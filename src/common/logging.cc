@@ -15,6 +15,9 @@ LogLevel LevelFromEnv() {
   return level;
 }
 
+// fela-lint: allow(sweep-shared-state): the log-level filter is a
+// std::atomic that every sweep worker reads alike; it routes output and
+// never reaches sim state.
 std::atomic<LogLevel> g_min_level{LevelFromEnv()};
 
 const char* LevelTag(LogLevel level) {

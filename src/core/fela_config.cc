@@ -54,32 +54,6 @@ common::Status ValidateConfig(const FelaConfig& config, int num_sub_models,
         "ctd_subset_size %d out of [1, %d]", config.ctd_subset_size,
         num_workers));
   }
-  // Fault-tolerance knobs. All the > 0.0 comparisons also reject NaN.
-  if (!(config.lease_timeout_sec > 0.0)) {
-    return common::Status::InvalidArgument(common::StrFormat(
-        "lease_timeout_sec must be positive, got %g",
-        config.lease_timeout_sec));
-  }
-  if (!(config.retry_timeout_sec > 0.0)) {
-    return common::Status::InvalidArgument(common::StrFormat(
-        "retry_timeout_sec must be positive, got %g",
-        config.retry_timeout_sec));
-  }
-  if (!(config.retry_timeout_sec <= kRetryTimeoutMaxSec)) {
-    return common::Status::InvalidArgument(common::StrFormat(
-        "retry_timeout_sec %g is above the backoff cap %g",
-        config.retry_timeout_sec, kRetryTimeoutMaxSec));
-  }
-  if (!(config.ts_checkpoint_interval_sec > 0.0)) {
-    return common::Status::InvalidArgument(common::StrFormat(
-        "ts_checkpoint_interval_sec must be positive, got %g",
-        config.ts_checkpoint_interval_sec));
-  }
-  if (!(config.ts_failover_timeout_sec > 0.0)) {
-    return common::Status::InvalidArgument(common::StrFormat(
-        "ts_failover_timeout_sec must be positive, got %g",
-        config.ts_failover_timeout_sec));
-  }
   if (config.ts_shards < 0 || config.ts_shards > num_workers) {
     return common::Status::InvalidArgument(common::StrFormat(
         "ts_shards %d out of [0, %d] (0 = one shard per rack)",

@@ -10,13 +10,31 @@
 
 namespace fela::core {
 
-/// Request retry backoff, fixed for every run: the k-th consecutive retry
-/// of one request waits min(retry_timeout_sec * kRetryBackoffMult^k,
-/// kRetryTimeoutMaxSec), stretched by a deterministic jitter factor in
-/// [1.0, 1.5) seeded from kRetryJitterSeed and the worker id (see
-/// common::JitteredBackoffSec). Jitter never shortens a wait. Keeps a
-/// partitioned minority from hammering the control plane in lockstep
-/// while it waits for a heal.
+/// Fault-tolerance timeouts, fixed for every run and armed only when the
+/// run's fault schedule can fire. Every grant carries a lease: if the
+/// worker has not reported completion within kLeaseTimeoutSec the token
+/// server reclaims the token and re-grants it elsewhere. A worker resends
+/// an unanswered token request after kRetryTimeoutSec, the first step of
+/// the backoff below (covers grants or requests lost on a lossy control
+/// plane).
+inline constexpr double kLeaseTimeoutSec = 15.0;
+inline constexpr double kRetryTimeoutSec = 5.0;
+
+/// Control-plane survivability. Each Token Server shard checkpoints its
+/// lease table every kTsCheckpointIntervalSec of simulated time; when a
+/// shard's hosting node crashes (or lands on a minority partition side)
+/// the shard is fenced, and a standby takes it over and re-arms the
+/// checkpointed leases kTsFailoverTimeoutSec later — the simulated
+/// detection + election delay.
+inline constexpr double kTsCheckpointIntervalSec = 5.0;
+inline constexpr double kTsFailoverTimeoutSec = 10.0;
+
+/// Request retry backoff: the k-th consecutive retry of one request
+/// waits min(kRetryTimeoutSec * kRetryBackoffMult^k, kRetryTimeoutMaxSec),
+/// stretched by a deterministic jitter factor in [1.0, 1.5) seeded from
+/// kRetryJitterSeed and the worker id (see common::JitteredBackoffSec).
+/// Jitter never shortens a wait. Keeps a partitioned minority from
+/// hammering the control plane in lockstep while it waits for a heal.
 inline constexpr double kRetryBackoffMult = 2.0;
 inline constexpr double kRetryTimeoutMaxSec = 60.0;
 inline constexpr uint64_t kRetryJitterSeed = 0x5eedbacc0ffULL;
@@ -37,24 +55,6 @@ struct FelaConfig {
   /// Policy toggles for the ablation study (Fig. 7).
   bool ads_enabled = true;  // Aggressive Depth-First Scheduling (§III-D)
   bool hf_enabled = true;   // Hierarchical Fetching / STBs (§III-E)
-
-  /// Fault-tolerance knobs. Every grant carries a lease: if the worker
-  /// has not reported completion within `lease_timeout_sec` the token
-  /// server reclaims the token and re-grants it elsewhere. Workers resend
-  /// an unanswered token request after `retry_timeout_sec`, the first
-  /// step of the fixed backoff above (covers grants or requests lost on
-  /// a lossy control plane); it may not exceed kRetryTimeoutMaxSec.
-  double lease_timeout_sec = 15.0;
-  double retry_timeout_sec = 5.0;
-
-  /// Control-plane survivability. Each Token Server shard checkpoints its
-  /// lease table every `ts_checkpoint_interval_sec` of simulated time;
-  /// when a shard's hosting node crashes (or lands on a minority
-  /// partition side) the shard is fenced, and a standby takes it over and
-  /// re-arms the checkpointed leases `ts_failover_timeout_sec` later —
-  /// the simulated detection + election delay.
-  double ts_checkpoint_interval_sec = 5.0;
-  double ts_failover_timeout_sec = 10.0;
 
   /// Token Server shard count. 0 = auto: one sub-distributor per
   /// topology rack (a flat cluster gets exactly one shard, which is

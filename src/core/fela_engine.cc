@@ -81,9 +81,7 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
 
   if (faults_active()) {
     ts_->set_leases_enabled(true);
-    for (auto& w : workers_) {
-      w.set_retry_timeout_sec(config_.retry_timeout_sec);
-    }
+    for (auto& w : workers_) w.set_retries_enabled(true);
     sim::FaultMonitor::Callbacks m_cbs;
     m_cbs.on_crash = [this](int w) { OnWorkerCrash(w); };
     m_cbs.on_recover = [this](int w) { OnWorkerRecover(w); };
@@ -298,7 +296,7 @@ void FelaEngine::ArmCheckpointTimer() {
     return;
   }
   checkpoint_timer_ = cluster_->simulator().Schedule(
-      config_.ts_checkpoint_interval_sec, [this] {
+      kTsCheckpointIntervalSec, [this] {
         checkpoint_timer_ = sim::kInvalidEventId;
         if (run_complete() || !AnyShardActive()) return;
         TakeCheckpoint();
@@ -334,7 +332,7 @@ void FelaEngine::FenceShard(int shard) {
              sim::TraceKind::kTsFailover, FELA_TOK("fence inc=%d it=%d"),
              shard_inc_[s], current_iteration());
   shard_failover_timer_[s] = cluster_->simulator().Schedule(
-      config_.ts_failover_timeout_sec, [this, shard] {
+      kTsFailoverTimeoutSec, [this, shard] {
         shard_failover_timer_[static_cast<size_t>(shard)] =
             sim::kInvalidEventId;
         CompleteShardFailover(shard);

@@ -39,7 +39,7 @@ namespace fela::core {
 /// timer; when a shard's host crashes — or a partition cuts it off from
 /// the majority of the shard's up members — that shard is fenced
 /// (in-flight messages to it are voided, its leases are reclaimed into
-/// its root-held buckets) and, after ts_failover_timeout_sec, a standby
+/// its root-held buckets) and, after kTsFailoverTimeoutSec, a standby
 /// on the best-connected up member un-fences it under a new incarnation
 /// and re-arms the checkpointed leases. The TokenServer object lives for
 /// the whole run. Workers keep retrying on their backoff schedule and
@@ -146,7 +146,7 @@ class FelaEngine : public runtime::Engine {
   /// Fences one shard's active incarnation (its host crashed or lost
   /// quorum among the shard's members): closes that shard's ledger,
   /// voids in-flight messages addressed to it, and schedules its
-  /// failover after config.ts_failover_timeout_sec. The other shards
+  /// failover after kTsFailoverTimeoutSec. The other shards
   /// keep granting. With one shard this fences the whole server.
   void FenceShard(int shard);
   /// Promotes a standby for one shard: picks the shard member (any up

@@ -638,7 +638,7 @@ sim::SimTime TokenServer::ArmLease(int shard, sim::NodeId worker,
   lease.worker = worker;
   sim::SimTime deadline = 0.0;
   if (leases_enabled_) {
-    deadline = sim_->now() + config_->lease_timeout_sec;
+    deadline = sim_->now() + kLeaseTimeoutSec;
     lease.timer = sim_->ScheduleAt(
         deadline, [this, shard, id] { ReclaimLease(shard, id, true); });
   }

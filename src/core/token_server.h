@@ -168,7 +168,7 @@ class FELA_THREAD_HOSTILE TokenServer {
   void HandleReport(sim::NodeId worker, const Token& token);
 
   /// Arms grant leases: each grant gets a deadline
-  /// (now + config.lease_timeout_sec) and an expiry timer that reclaims
+  /// (now + kLeaseTimeoutSec) and an expiry timer that reclaims
   /// the token from a silent worker. Off by default so fault-free runs
   /// schedule no extra events and stay bit-identical to older traces.
   void set_leases_enabled(bool enabled) { leases_enabled_ = enabled; }

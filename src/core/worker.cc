@@ -75,10 +75,10 @@ void FelaWorker::Quiesce() {
 }
 
 void FelaWorker::ArmRetryTimer() {
-  if (retry_timeout_sec_ <= 0.0) return;
+  if (!retries_enabled_) return;
   CancelRetryTimer();
   const double delay = common::JitteredBackoffSec(
-      retry_timeout_sec_, kRetryBackoffMult, kRetryTimeoutMaxSec,
+      kRetryTimeoutSec, kRetryBackoffMult, kRetryTimeoutMaxSec,
       retry_attempt_, kRetryJitterSeed, static_cast<uint64_t>(id_));
   const int inc = incarnation_;
   retry_timer_ = sim()->Schedule(delay, [this, inc] {

@@ -71,10 +71,10 @@ class FelaWorker {
 
   /// Enables request retransmission: while a request is unanswered,
   /// fresh requests go out on the fixed backoff schedule that starts at
-  /// `sec` (see kRetryBackoffMult in fela_config.h; covers requests or
-  /// grants lost on a lossy control plane or across a partition). Off
-  /// (0) by default, so fault-free runs schedule no timer events.
-  void set_retry_timeout_sec(double sec) { retry_timeout_sec_ = sec; }
+  /// kRetryTimeoutSec (see fela_config.h; covers requests or grants lost
+  /// on a lossy control plane or across a partition). Off by default, so
+  /// fault-free runs schedule no timer events.
+  void set_retries_enabled(bool enabled) { retries_enabled_ = enabled; }
 
   /// The worker process died: whatever was fetching/computing is
   /// discarded (the incarnation guard voids in-flight callbacks) and all
@@ -131,7 +131,7 @@ class FelaWorker {
   /// older incarnation are discarded (the work died with the process).
   int incarnation_ = 0;
   int iteration_ = -1;
-  double retry_timeout_sec_ = 0.0;
+  bool retries_enabled_ = false;
   /// Consecutive retries of the *current* request (backoff exponent);
   /// reset whenever a fresh request cycle starts or a grant lands.
   int retry_attempt_ = 0;

@@ -19,7 +19,7 @@ namespace fela::lint {
 /// bind to *every* function definition sharing the callee's unqualified
 /// name. Over-approximation keeps the analysis sound for the rules'
 /// purpose (missing a determinism leak is worse than naming one extra
-/// chain); suppressions and the findings baseline absorb the rest.
+/// chain); in-source `allow(<rule>): <why>` comments absorb the rest.
 
 /// One potential call inside a function body.
 struct CallSite {

@@ -419,6 +419,28 @@ bool IsSimScopedPath(const std::string& path) {
   return IsSimScoped(PathComponents(path));
 }
 
+/// `path` reduced to its repo-relative tail: components from the first
+/// of {src, tools, tests, bench, examples} onward, joined with '/', so a
+/// transitive finding names the hazard's file the same way wherever the
+/// tree was checked out.
+std::string NormalizePath(const std::string& path) {
+  const std::vector<std::string> parts = PathComponents(path);
+  size_t start = 0;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i] == "src" || parts[i] == "tools" || parts[i] == "tests" ||
+        parts[i] == "bench" || parts[i] == "examples") {
+      start = i;
+      break;
+    }
+  }
+  std::string out;
+  for (size_t i = start; i < parts.size(); ++i) {
+    if (!out.empty()) out += '/';
+    out += parts[i];
+  }
+  return out;
+}
+
 std::string SiblingHeaderPath(const std::string& path) {
   const size_t dot = path.rfind('.');
   if (dot == std::string::npos) return std::string();
@@ -611,22 +633,6 @@ bool WriteTextFile(const std::string& path, const std::string& contents) {
   out << contents;
   out.close();
   return static_cast<bool>(out);
-}
-
-common::Json FindingsDoc(const std::vector<Finding>& findings) {
-  common::Json doc = common::Json::Object();
-  doc.Set("count", static_cast<int>(findings.size()));
-  common::Json arr = common::Json::Array();
-  for (const Finding& f : findings) {
-    common::Json row = common::Json::Object();
-    row.Set("file", f.file);
-    row.Set("line", f.line);
-    row.Set("rule", f.rule);
-    row.Set("message", f.message);
-    arr.Append(std::move(row));
-  }
-  doc.Set("findings", std::move(arr));
-  return doc;
 }
 
 }  // namespace
@@ -830,27 +836,6 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
   return true;
 }
 
-std::string FindingsToJson(const std::vector<Finding>& findings) {
-  common::Json doc = FindingsDoc(findings);
-  doc.SortKeysRecursive();
-  return doc.Dump(1);
-}
-
-std::string ReportToJson(const std::vector<Finding>& findings,
-                         const Timings& timings) {
-  common::Json doc = FindingsDoc(findings);
-  common::Json t = common::Json::Object();
-  t.Set("files", static_cast<int>(timings.files));
-  t.Set("lex_seconds", timings.lex_seconds);
-  t.Set("include_graph_seconds", timings.include_graph_seconds);
-  t.Set("index_seconds", timings.index_seconds);
-  t.Set("rules_seconds", timings.rules_seconds);
-  t.Set("total_seconds", timings.total_seconds);
-  doc.Set("timings", std::move(t));
-  doc.SortKeysRecursive();
-  return doc.Dump(1);
-}
-
 std::string TimingsToBenchJson(const Timings& timings) {
   common::Json doc = common::Json::Object();
   doc.Set("bench", "lint");
@@ -892,145 +877,13 @@ std::string FindingsToTable(const std::vector<Finding>& findings) {
          common::StrFormat("\nfela-lint: %zu finding(s)\n", findings.size());
 }
 
-// ---------------------------------------------------------------------------
-// Findings baseline
-// ---------------------------------------------------------------------------
-
-std::string NormalizePath(const std::string& path) {
-  const std::vector<std::string> parts = PathComponents(path);
-  size_t start = 0;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i] == "src" || parts[i] == "tools" || parts[i] == "tests" ||
-        parts[i] == "bench" || parts[i] == "examples") {
-      start = i;
-      break;
-    }
-  }
-  std::string out;
-  for (size_t i = start; i < parts.size(); ++i) {
-    if (!out.empty()) out += '/';
-    out += parts[i];
-  }
-  return out;
-}
-
-bool ParseBaseline(const std::string& json, Baseline* baseline,
-                   std::string* error) {
-  common::Json doc;
-  if (!common::Json::Parse(json, &doc, error)) return false;
-  if (!doc.is_object()) {
-    if (error != nullptr) *error = "baseline: document is not an object";
-    return false;
-  }
-  const common::Json* arr = doc.Find("findings");
-  if (arr == nullptr || !arr->is_array()) {
-    if (error != nullptr) *error = "baseline: missing \"findings\" array";
-    return false;
-  }
-  baseline->entries.clear();
-  for (const common::Json& item : arr->items()) {
-    BaselineEntry entry;
-    for (const char* key : {"file", "rule", "message"}) {
-      const common::Json* v = item.Find(key);
-      if (v == nullptr || !v->is_string()) {
-        if (error != nullptr) {
-          *error = common::StrFormat("baseline: entry missing \"%s\"", key);
-        }
-        return false;
-      }
-    }
-    entry.file = item.Find("file")->string_value();
-    entry.rule = item.Find("rule")->string_value();
-    entry.message = item.Find("message")->string_value();
-    const common::Json* why = item.Find("why");
-    if (why != nullptr && why->is_string()) entry.why = why->string_value();
-    baseline->entries.push_back(std::move(entry));
-  }
-  return true;
-}
-
-BaselineResult ApplyBaseline(const Baseline& baseline,
-                             const std::vector<Finding>& findings) {
-  using Key = std::tuple<std::string, std::string, std::string>;
-  std::map<Key, std::vector<size_t>> credit;
-  for (size_t i = 0; i < baseline.entries.size(); ++i) {
-    const BaselineEntry& e = baseline.entries[i];
-    credit[{NormalizePath(e.file), e.rule, e.message}].push_back(i);
-  }
-  BaselineResult result;
-  std::set<size_t> consumed;
-  for (const Finding& f : findings) {
-    const Key key{NormalizePath(f.file), f.rule, f.message};
-    const auto it = credit.find(key);
-    if (it != credit.end() && !it->second.empty()) {
-      consumed.insert(it->second.back());
-      it->second.pop_back();
-      ++result.matched;
-    } else {
-      result.fresh.push_back(f);
-    }
-  }
-  for (size_t i = 0; i < baseline.entries.size(); ++i) {
-    if (consumed.count(i) == 0) result.stale.push_back(baseline.entries[i]);
-  }
-  return result;
-}
-
-std::string BaselineToJson(const std::vector<Finding>& findings,
-                           const Baseline& previous) {
-  using Key = std::tuple<std::string, std::string, std::string>;
-  std::map<Key, std::string> why;
-  for (const BaselineEntry& e : previous.entries) {
-    if (e.why.empty()) continue;
-    why.emplace(Key{NormalizePath(e.file), e.rule, e.message}, e.why);
-  }
-  std::vector<BaselineEntry> entries;
-  for (const Finding& f : findings) {
-    BaselineEntry e;
-    e.file = NormalizePath(f.file);
-    e.rule = f.rule;
-    e.message = f.message;
-    const auto it = why.find(Key{e.file, e.rule, e.message});
-    if (it != why.end()) e.why = it->second;
-    entries.push_back(std::move(e));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const BaselineEntry& a, const BaselineEntry& b) {
-              return std::tie(a.file, a.rule, a.message) <
-                     std::tie(b.file, b.rule, b.message);
-            });
-  common::Json doc = common::Json::Object();
-  common::Json arr = common::Json::Array();
-  for (const BaselineEntry& e : entries) {
-    common::Json row = common::Json::Object();
-    row.Set("file", e.file);
-    row.Set("rule", e.rule);
-    row.Set("message", e.message);
-    if (!e.why.empty()) row.Set("why", e.why);
-    arr.Append(std::move(row));
-  }
-  doc.Set("findings", std::move(arr));
-  doc.Set("version", 1);
-  doc.SortKeysRecursive();
-  return doc.Dump(1);
-}
-
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {
-  std::string format = "table";
-  std::string baseline_path;
   std::string bench_out;
-  bool update_baseline = false;
   Options options;
   std::vector<std::string> paths;
   for (const std::string& arg : args) {
-    if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "table" && format != "json") {
-        err << "fela-lint: unknown format '" << format << "'\n";
-        return 2;
-      }
-    } else if (arg.rfind("--rules=", 0) == 0) {
+    if (arg.rfind("--rules=", 0) == 0) {
       std::string rule;
       for (char c : arg.substr(8) + ",") {
         if (c == ',') {
@@ -1046,10 +899,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
           rule += c;
         }
       }
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg == "--update-baseline") {
-      update_baseline = true;
     } else if (arg.rfind("--bench-out=", 0) == 0) {
       bench_out = arg.substr(12);
     } else if (arg == "--list-rules") {
@@ -1064,13 +913,8 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
       paths.push_back(arg);
     }
   }
-  if (update_baseline && baseline_path.empty()) {
-    err << "fela-lint: --update-baseline requires --baseline=FILE\n";
-    return 2;
-  }
   if (paths.empty()) {
-    err << "usage: fela-lint [--format=table|json] [--rules=a,b] "
-           "[--list-rules] [--baseline=FILE] [--update-baseline] "
+    err << "usage: fela-lint [--rules=a,b] [--list-rules] "
            "[--bench-out=FILE] <path>...\n";
     return 2;
   }
@@ -1086,51 +930,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     err << "fela-lint: cannot write " << bench_out << "\n";
     return 2;
   }
-  if (update_baseline) {
-    Baseline previous;
-    std::string prev_json;
-    if (ReadFile(baseline_path, &prev_json) &&
-        !ParseBaseline(prev_json, &previous, &error)) {
-      err << "fela-lint: " << error << "\n";
-      return 2;
-    }
-    if (!WriteTextFile(baseline_path,
-                       BaselineToJson(findings, previous) + "\n")) {
-      err << "fela-lint: cannot write " << baseline_path << "\n";
-      return 2;
-    }
-    out << "fela-lint: baseline updated (" << findings.size()
-        << " entr" << (findings.size() == 1 ? "y" : "ies") << ")\n";
-    return 0;
-  }
-  if (!baseline_path.empty()) {
-    std::string json;
-    if (!ReadFile(baseline_path, &json)) {
-      err << "fela-lint: cannot read " << baseline_path << "\n";
-      return 2;
-    }
-    Baseline baseline;
-    if (!ParseBaseline(json, &baseline, &error)) {
-      err << "fela-lint: " << error << "\n";
-      return 2;
-    }
-    const BaselineResult result = ApplyBaseline(baseline, findings);
-    out << (format == "json" ? ReportToJson(result.fresh, timings)
-                             : FindingsToTable(result.fresh));
-    if (result.matched > 0) {
-      err << "fela-lint: " << result.matched
-          << " baselined finding(s) tolerated\n";
-    }
-    if (!result.stale.empty()) {
-      err << "fela-lint: " << result.stale.size()
-          << " stale baseline entr"
-          << (result.stale.size() == 1 ? "y" : "ies")
-          << "; run --update-baseline to prune\n";
-    }
-    return result.fresh.empty() ? 0 : 1;
-  }
-  out << (format == "json" ? ReportToJson(findings, timings)
-                           : FindingsToTable(findings));
+  out << FindingsToTable(findings);
   return findings.empty() ? 0 : 1;
 }
 

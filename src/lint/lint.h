@@ -49,8 +49,8 @@ struct Options {
 };
 
 /// Wall-time spent in each pass of a LintTree run, in seconds, plus the
-/// number of files scanned. Reported under "timings" in --format=json
-/// and exportable as a BenchReport row set via TimingsToBenchJson.
+/// number of files scanned. Exported as a BenchReport row set via
+/// TimingsToBenchJson (what --bench-out writes).
 struct Timings {
   double lex_seconds = 0.0;
   double include_graph_seconds = 0.0;
@@ -86,16 +86,6 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
               std::vector<Finding>* findings, std::string* error,
               Timings* timings = nullptr);
 
-/// Machine-readable report: {"count":N,"findings":[{file,line,message,rule}]}
-/// with keys emitted in sorted order. Pure function of the findings —
-/// byte-stable across runs.
-std::string FindingsToJson(const std::vector<Finding>& findings);
-
-/// FindingsToJson plus a "timings" object (per-pass seconds + file
-/// count); what --format=json prints.
-std::string ReportToJson(const std::vector<Finding>& findings,
-                         const Timings& timings);
-
 /// The timings as a BenchReport-shaped document (one row per pass) so
 /// the standard bench-JSON validator and tooling accept lint timing
 /// artifacts (BENCH_lint.json).
@@ -104,62 +94,11 @@ std::string TimingsToBenchJson(const Timings& timings);
 /// Human-readable aligned table plus a one-line summary.
 std::string FindingsToTable(const std::vector<Finding>& findings);
 
-// ---------------------------------------------------------------------------
-// Findings baseline (the ratchet)
-// ---------------------------------------------------------------------------
-
-/// `path` reduced to its repo-relative tail: components from the first
-/// of {src, tools, tests, bench, examples} onward, joined with '/'.
-/// Baselines store normalized paths so the file is stable no matter
-/// where the tree was checked out or how fela-lint was invoked.
-std::string NormalizePath(const std::string& path);
-
-/// One tolerated legacy finding. Matching ignores line numbers (they
-/// drift with unrelated edits); the key is (normalized file, rule,
-/// message). `why` is a human note carried through regeneration.
-struct BaselineEntry {
-  std::string file;
-  std::string rule;
-  std::string message;
-  std::string why;
-};
-
-struct Baseline {
-  std::vector<BaselineEntry> entries;
-};
-
-/// The result of screening findings against a baseline: `fresh` is what
-/// the ratchet rejects, `stale` is baseline entries that no longer
-/// match anything (candidates for pruning), `matched` counts tolerated
-/// findings.
-struct BaselineResult {
-  std::vector<Finding> fresh;
-  std::vector<BaselineEntry> stale;
-  size_t matched = 0;
-};
-
-/// Parses a baseline JSON document; false + `error` on malformed input.
-bool ParseBaseline(const std::string& json, Baseline* baseline,
-                   std::string* error);
-
-/// Screens `findings` against `baseline`. Duplicate keys consume
-/// baseline credit one finding at a time.
-BaselineResult ApplyBaseline(const Baseline& baseline,
-                             const std::vector<Finding>& findings);
-
-/// Serializes `findings` as a fresh baseline, deterministically (sorted
-/// entries, sorted keys). Entries that also exist in `previous` keep
-/// their `why` notes.
-std::string BaselineToJson(const std::vector<Finding>& findings,
-                           const Baseline& previous);
-
 /// The fela-lint command line:
-///   fela-lint [--format=table|json] [--rules=a,b] [--list-rules]
-///             [--baseline=FILE] [--update-baseline] [--bench-out=FILE]
-///             <path>...
-/// With --baseline, findings matching the baseline are tolerated and
-/// only fresh findings fail the run; --update-baseline instead
-/// regenerates FILE from the current findings and exits 0.
+///   fela-lint [--rules=a,b] [--list-rules] [--bench-out=FILE] <path>...
+/// Prints the findings table. A finding is tolerated only in source: by
+/// a `// fela-lint: allow(<rule>): <why>` comment on its line or on the
+/// comment lines just above it.
 /// Exit codes: 0 clean, 1 findings reported, 2 usage or I/O error.
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err);

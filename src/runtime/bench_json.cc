@@ -158,46 +158,4 @@ bool ValidateBenchReportJson(const common::Json& doc, std::string* error) {
   return true;
 }
 
-bool ValidateLintReportJson(const common::Json& doc, std::string* error) {
-  if (!doc.is_object()) return Fail(error, "document not an object");
-  const common::Json* count = doc.Find("count");
-  if (count == nullptr || !count->is_number()) {
-    return Fail(error, "missing/invalid \"count\"");
-  }
-  const common::Json* findings = doc.Find("findings");
-  if (findings == nullptr || !findings->is_array()) {
-    return Fail(error, "missing/invalid \"findings\"");
-  }
-  if (static_cast<size_t>(count->number_value()) != findings->size()) {
-    return Fail(error, common::StrFormat(
-                           "\"count\" is %d but \"findings\" has %d entries",
-                           static_cast<int>(count->number_value()),
-                           static_cast<int>(findings->size())));
-  }
-  for (const common::Json& row : findings->items()) {
-    if (!row.is_object()) return Fail(error, "finding row not an object");
-    for (const char* key : {"file", "message", "rule"}) {
-      const common::Json* v = row.Find(key);
-      if (v == nullptr || !v->is_string()) {
-        return Fail(error,
-                    common::StrFormat("finding missing/invalid \"%s\"", key));
-      }
-    }
-    if (!CheckNumber(row, "line", error)) return false;
-  }
-  const common::Json* timings = doc.Find("timings");
-  if (timings == nullptr || !timings->is_object()) {
-    return Fail(error, "missing/invalid \"timings\"");
-  }
-  for (const char* key :
-       {"files", "lex_seconds", "include_graph_seconds", "index_seconds",
-        "rules_seconds", "total_seconds"}) {
-    if (!CheckNumber(*timings, key, error)) return false;
-    if (timings->Find(key)->number_value() < 0.0) {
-      return Fail(error, common::StrFormat("timing \"%s\" is negative", key));
-    }
-  }
-  return true;
-}
-
 }  // namespace fela::obs

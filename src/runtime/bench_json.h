@@ -51,21 +51,6 @@ std::string BenchJsonPath(const std::string& bench_name);
 /// failure.
 bool ValidateBenchReportJson(const common::Json& doc, std::string* error);
 
-/// Structural check of a fela-lint --format=json document:
-///
-///   { "count": num,
-///     "findings": [ { "file": str, "line": num, "message": str,
-///                     "rule": str } ],
-///     "timings": { "files": num, "lex_seconds": num,
-///                  "include_graph_seconds": num, "index_seconds": num,
-///                  "rules_seconds": num, "total_seconds": num } }
-///
-/// Verifies count matches the findings array, every finding row is
-/// complete, and every timing field is a non-negative number. Lives here
-/// rather than in src/lint so artifact consumers (CI scripts, bench
-/// tooling) validate lint reports and bench reports through one library.
-bool ValidateLintReportJson(const common::Json& doc, std::string* error);
-
 }  // namespace fela::obs
 
 #endif  // FELA_RUNTIME_BENCH_JSON_H_

@@ -121,7 +121,7 @@ FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
   // token traffic (retry backoff per dropped grant) far more than DP's
   // near-silent barrier protocol, so dominance is not claimed under it.
   // Also scoped to schedules that spare the initial TS host: when the
-  // crash process may kill worker 0, Fela pays a ts_failover_timeout_sec
+  // crash process may kill worker 0, Fela pays a kTsFailoverTimeoutSec
   // outage per failover while DP merely redoes the dead replica's batch,
   // so per-crash degradation dominance is not a theorem there either —
   // the survivability claim under TS loss is bench_control_plane_chaos's

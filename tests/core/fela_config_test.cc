@@ -212,19 +212,6 @@ TEST(ValidatePlanInputsTest, RejectsConfigPartitionMismatch) {
                    .ok());
 }
 
-TEST(ValidatePlanInputsTest, RejectsBadFaultToleranceTimeouts) {
-  FelaConfig cfg = FelaConfig::Defaults(3, 8);
-  cfg.lease_timeout_sec = 0.0;
-  EXPECT_FALSE(ValidatePlanInputs(model::zoo::Vgg19(), Vgg19SubModels(), cfg,
-                                  128, 8)
-                   .ok());
-  cfg = FelaConfig::Defaults(3, 8);
-  cfg.retry_timeout_sec = -1.0;
-  EXPECT_FALSE(ValidatePlanInputs(model::zoo::Vgg19(), Vgg19SubModels(), cfg,
-                                  128, 8)
-                   .ok());
-}
-
 TEST(FelaConfigTest, ToStringShowsKnobs) {
   FelaConfig cfg = FelaConfig::Defaults(3, 8);
   cfg.weights = {1, 2, 4};

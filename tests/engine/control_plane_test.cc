@@ -1,11 +1,12 @@
 // Control-plane survivability: Token Server checkpoint/failover, network
 // partitions (park-and-heal), gray failures absorbed by backoff, lease
 // reclaim under duplicated-and-dropped reports, and the validation that
-// rejects malformed survivability knobs and fault schedules.
+// rejects malformed fault schedules.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,14 +59,16 @@ TEST(ControlPlaneTest, TsCrashFailsOverAndCompletes) {
   const auto clean = CleanFelaStats(kIters, kBatch);
 
   // Kill worker 0 — the initial TS host — mid-iteration 2; it returns
-  // late in the run and rejoins as a plain worker.
+  // one iteration after the standby took over and rejoins as a plain
+  // worker.
   const auto& it2 = clean.iterations[2];
-  const double crash = it2.start + 0.3 * (it2.end - it2.start);
-  FelaConfig cfg = PaperConfig();
-  cfg.ts_failover_timeout_sec = 1.0;  // keep the outage test-sized
+  const double it_len = it2.end - it2.start;
+  const double crash = it2.start + 0.3 * it_len;
   auto cluster = FaultyCluster(std::make_unique<sim::ScriptedCrashes>(
-      std::vector<sim::CrashEvent>{{0, crash, 0.8 * clean.total_time}}));
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+      std::vector<sim::CrashEvent>{
+          {0, crash, crash + kTsFailoverTimeoutSec + it_len}}));
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(),
+                    kBatch);
   const auto stats = engine.Run(kIters);
 
   EXPECT_EQ(stats.iteration_count(), kIters);
@@ -92,11 +95,9 @@ TEST(ControlPlaneTest, TsFailStopCompletesWhereDpStalls) {
   const double fela_clean = CleanFelaStats(kIters, kBatch).total_time;
   const double crash = 0.3 * fela_clean;
 
-  FelaConfig cfg = PaperConfig();
-  cfg.ts_failover_timeout_sec = 1.0;
   auto fela_cluster = FaultyCluster(std::make_unique<sim::ScriptedCrashes>(
       std::vector<sim::CrashEvent>{{0, crash, sim::kNeverTime}}));
-  FelaEngine fela(fela_cluster.get(), vgg, cfg, kBatch);
+  FelaEngine fela(fela_cluster.get(), vgg, PaperConfig(), kBatch);
   const auto fela_stats = fela.Run(kIters);
   EXPECT_FALSE(fela_stats.stalled);
   EXPECT_EQ(fela_stats.iteration_count(), kIters);
@@ -122,7 +123,8 @@ TEST(ControlPlaneTest, CtdSubsetWorkerRecoveryReAdmitsImmediately) {
   FelaConfig cfg = FelaConfig::Defaults(3, 2);
   cfg.weights = {1, 1, 1};
   cfg.ctd_subset_size = 1;  // S = {0}: only worker 0 trains comm levels
-  cfg.ts_failover_timeout_sec = 10.0;  // recovery lands mid-failover
+  // Recovery lands mid-failover: 1.2 s after the crash, well inside
+  // kTsFailoverTimeoutSec.
   auto cluster = FaultyCluster(
       std::make_unique<sim::ScriptedCrashes>(
           std::vector<sim::CrashEvent>{{0, 1.6, 2.8}}),
@@ -146,7 +148,6 @@ TEST(ControlPlaneTest, CtdValveDrainsCommTokensWhenSubsetFailStops) {
   FelaConfig cfg = FelaConfig::Defaults(3, 2);
   cfg.weights = {1, 1, 1};
   cfg.ctd_subset_size = 1;
-  cfg.ts_failover_timeout_sec = 1.0;
   auto cluster = FaultyCluster(
       std::make_unique<sim::ScriptedCrashes>(
           std::vector<sim::CrashEvent>{{0, 1.6, sim::kNeverTime}}),
@@ -199,11 +200,9 @@ TEST(ControlPlaneTest, MinorityTsLosesQuorumAndFailsOver) {
   ev.start = clean.iterations[1].start;
   ev.end = 0.9 * clean.total_time;
   ev.side_a = {0, 1};
-  FelaConfig cfg = PaperConfig();
-  cfg.ts_failover_timeout_sec = 1.0;
   auto cluster = FaultyCluster(std::make_unique<sim::NetworkPartition>(
       std::vector<sim::PartitionEvent>{ev}));
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(), kBatch);
   const auto stats = engine.Run(kIters);
 
   EXPECT_EQ(stats.iteration_count(), kIters);
@@ -223,10 +222,7 @@ TEST(ControlPlaneTest, GrayFailureAbsorbedByBackoff) {
   auto cluster = FaultyCluster(std::make_unique<sim::GrayFailures>(
       std::vector<sim::GrayEvent>{
           {4, clean.iterations[1].start, 0.9 * clean.total_time, 8.0}}));
-  FelaConfig cfg = PaperConfig();
-  cfg.lease_timeout_sec = 2.0;
-  cfg.retry_timeout_sec = 0.5;
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(), kBatch);
   const auto stats = engine.Run(kIters);
 
   EXPECT_EQ(stats.iteration_count(), kIters);
@@ -285,11 +281,8 @@ class DropAndDupBands final : public sim::FaultSchedule {
 
 TEST(ControlPlaneTest, DroppedAndDuplicatedReportsInOneRun) {
   const int kIters = 4;
-  FelaConfig cfg = PaperConfig();
-  cfg.lease_timeout_sec = 1.5;  // expire dropped reports quickly
-  cfg.retry_timeout_sec = 0.5;
   auto cluster = FaultyCluster(std::make_unique<DropAndDupBands>());
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, 256);
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(), 256);
   const auto stats = engine.Run(kIters);
 
   EXPECT_EQ(stats.iteration_count(), kIters);
@@ -334,9 +327,8 @@ TEST(ControlPlaneTest, FailoverRunReplaysByteIdentically) {
     auto cluster = FaultyCluster(std::make_unique<sim::CompositeFaults>(
         std::move(parts)));
     cluster->trace().set_enabled(true);
-    FelaConfig cfg = PaperConfig();
-    cfg.ts_failover_timeout_sec = 1.0;
-    FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+    FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(),
+                      kBatch);
     const auto stats = engine.Run(kIters);
     *trace_out = cluster->trace().ToString();
     return stats;
@@ -361,16 +353,22 @@ TEST(ControlPlaneTest, CheckpointRestoreRoundTripMidIteration) {
   // the restored incarnation inherits leases instead of re-granting
   // everything from scratch.
   const int kIters = 4;
-  const double kBatch = 512.0;
+  const double kBatch = 1024.0;
   const auto clean = CleanFelaStats(kIters, kBatch);
   const auto& it1 = clean.iterations[1];
-  FelaConfig cfg = PaperConfig();
-  cfg.ts_failover_timeout_sec = 0.5;
-  cfg.ts_checkpoint_interval_sec = 0.2 * (it1.end - it1.start);
+  // At this batch an iteration outlasts the checkpoint interval, so a
+  // periodic checkpoint (one every kTsCheckpointIntervalSec from the run
+  // start) lands inside iteration 1. The TS host dies 1% of an iteration
+  // later, while the leases that checkpoint recorded are still live.
+  const double it_len = it1.end - it1.start;
+  ASSERT_GT(it_len, kTsCheckpointIntervalSec);
+  const double checkpoint = kTsCheckpointIntervalSec *
+                            std::ceil(it1.start / kTsCheckpointIntervalSec);
   auto cluster = FaultyCluster(std::make_unique<sim::ScriptedCrashes>(
       std::vector<sim::CrashEvent>{
-          {0, it1.start + 0.6 * (it1.end - it1.start), sim::kNeverTime}}));
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+          {0, checkpoint + 0.01 * it_len, sim::kNeverTime}}));
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(),
+                    kBatch);
   const auto stats = engine.Run(kIters);
 
   EXPECT_EQ(stats.iteration_count(), kIters);
@@ -420,28 +418,6 @@ TEST(ControlPlaneTest, OneShardTsCrashOnRackedClusterFailsOverOnce) {
     EXPECT_EQ(stats.faults.ts_failovers, 1u);
     ExpectFailoverInvariantsHold(engine);
   }
-}
-
-TEST(ControlPlaneTest, ValidateConfigRejectsBadSurvivabilityKnobs) {
-  const auto reject = [](void (*mutate)(FelaConfig*),
-                         const std::string& needle) {
-    FelaConfig cfg = FelaConfig::Defaults(3, 8);
-    cfg.weights = {1, 2, 4};
-    mutate(&cfg);
-    const common::Status s = ValidateConfig(cfg, 3, 8);
-    EXPECT_FALSE(s.ok()) << needle;
-    EXPECT_NE(s.message().find(needle), std::string::npos) << s.message();
-  };
-  reject([](FelaConfig* c) { c->lease_timeout_sec = 0.0; },
-         "lease_timeout_sec");
-  reject([](FelaConfig* c) { c->retry_timeout_sec = -1.0; },
-         "retry_timeout_sec");
-  reject([](FelaConfig* c) { c->retry_timeout_sec = kRetryTimeoutMaxSec + 1; },
-         "retry_timeout_sec");
-  reject([](FelaConfig* c) { c->ts_checkpoint_interval_sec = 0.0; },
-         "ts_checkpoint_interval_sec");
-  reject([](FelaConfig* c) { c->ts_failover_timeout_sec = -2.0; },
-         "ts_failover_timeout_sec");
 }
 
 TEST(ControlPlaneTest, FaultScheduleValidationRejectsOutOfRangeWorkers) {
@@ -505,15 +481,14 @@ TEST(ShardedControlPlaneTest, ShardHostFailStopScopesOutageToItsRack) {
   const double kBatch = 512.0;
   const double clean_total = CleanRackedFelaStats(kIters, kBatch).total_time;
   const double crash = 0.3 * clean_total;
-  FelaConfig cfg = PaperConfig();
-  cfg.ts_failover_timeout_sec = 1.0;
 
   // Sharded: kill worker 4 — rack 1's sub-distributor host — for good.
   // Only shard 1 fences; rack 0's sub-distributor never stops granting.
   auto sharded_cluster =
       RackedFaultyCluster(std::make_unique<sim::ScriptedCrashes>(
           std::vector<sim::CrashEvent>{{4, crash, sim::kNeverTime}}));
-  FelaEngine sharded(sharded_cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+  FelaEngine sharded(sharded_cluster.get(), model::zoo::Vgg19(),
+                     PaperConfig(), kBatch);
   const auto sharded_stats = sharded.Run(kIters);
   ASSERT_EQ(sharded.ts_shard_count(), 2);
   EXPECT_EQ(sharded_stats.iteration_count(), kIters);
@@ -537,7 +512,7 @@ TEST(ShardedControlPlaneTest, ShardHostFailStopScopesOutageToItsRack) {
   // one worker forever and fail over exactly once; the sharded run must
   // retain strictly more throughput because seven workers — not zero —
   // kept draining tokens while the fence was up.
-  FelaConfig mono = cfg;
+  FelaConfig mono = PaperConfig();
   mono.ts_shards = 1;
   auto mono_cluster =
       RackedFaultyCluster(std::make_unique<sim::ScriptedCrashes>(
@@ -563,11 +538,9 @@ TEST(ShardedControlPlaneTest, RackIsolatingPartitionParksOnlyThatRack) {
   ev.start = clean.iterations[1].start;
   ev.end = clean.iterations[3].end;
   ev.side_a = {0, 1, 2, 3};
-  FelaConfig cfg = PaperConfig();
-  cfg.ts_failover_timeout_sec = 1.0;
   auto cluster = RackedFaultyCluster(std::make_unique<sim::NetworkPartition>(
       std::vector<sim::PartitionEvent>{ev}));
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(), kBatch);
   const auto stats = engine.Run(kIters);
 
   ASSERT_EQ(engine.ts_shard_count(), 2);
@@ -596,20 +569,17 @@ TEST(ShardedControlPlaneTest, LedgerSurvivesTwoSuccessiveShardFailovers) {
   const int kIters = 6;
   const double kBatch = 512.0;
   const double clean_total = CleanRackedFelaStats(kIters, kBatch).total_time;
-  FelaConfig cfg = PaperConfig();
-  cfg.ts_failover_timeout_sec = 0.5;
 
   // Shard 1 loses two hosts in a row: worker 4 (the original), then
   // worker 5 (the first standby) after its promotion has completed. The
-  // second crash is pinned past crash1 + the failover timeout so it is
+  // second crash is pinned past crash1 + kTsFailoverTimeoutSec so it is
   // guaranteed to hit host 5's live incarnation, not the fence window.
   const double crash1 = 0.25 * clean_total;
-  const double crash2 = crash1 + cfg.ts_failover_timeout_sec +
-                        0.25 * clean_total;
+  const double crash2 = crash1 + kTsFailoverTimeoutSec + 0.25 * clean_total;
   auto cluster = RackedFaultyCluster(std::make_unique<sim::ScriptedCrashes>(
       std::vector<sim::CrashEvent>{{4, crash1, sim::kNeverTime},
                                    {5, crash2, sim::kNeverTime}}));
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, kBatch);
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(), kBatch);
   const auto stats = engine.Run(kIters);
 
   ASSERT_EQ(engine.ts_shard_count(), 2);

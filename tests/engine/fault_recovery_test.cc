@@ -136,12 +136,9 @@ TEST(FaultRecoveryTest, FailStopCrashAbortsPs) {
 
 TEST(FaultRecoveryTest, LossyControlPlaneRecoversViaLeasesAndRetries) {
   const int kIters = 4;
-  FelaConfig cfg = PaperConfig();
-  cfg.lease_timeout_sec = 2.0;  // aggressive timeouts so losses are
-  cfg.retry_timeout_sec = 0.5;  // recovered within the short test run
   auto cluster = FaultyCluster(
       std::make_unique<sim::LossyControlPlane>(0.08, 0.05, 77));
-  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, 256);
+  FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(), 256);
   const auto stats = engine.Run(kIters);
 
   EXPECT_EQ(stats.iteration_count(), kIters);

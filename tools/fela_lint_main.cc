@@ -1,7 +1,7 @@
 // fela-lint: project hygiene/determinism checker. See src/lint/lint.h
 // for the rule set and DESIGN.md §8 for rationale.
 //
-//   fela-lint [--format=table|json] [--rules=a,b] [--list-rules] <path>...
+//   fela-lint [--rules=a,b] [--list-rules] [--bench-out=FILE] <path>...
 //
 // Exit codes: 0 clean, 1 findings reported, 2 usage or I/O error.
 
