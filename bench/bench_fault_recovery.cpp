@@ -4,7 +4,7 @@
 // and stays down `down` seconds. Node 0 — the initial Token Server host
 // — is deliberately spared so this sweep measures worker-loss
 // degradation in isolation; bench_control_plane_chaos covers losing the
-// control plane itself (TS checkpoint/failover). Fela reclaims the crashed worker's token lease, re-grants it,
+// control plane itself (TS fence/failover). Fela reclaims the crashed worker's token lease, re-grants it,
 // shrinks syncs to the survivors, and re-admits the worker when it
 // returns; DP must redo the lost per-worker batch while every peer waits
 // at the barrier.

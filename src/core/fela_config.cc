@@ -90,8 +90,6 @@ common::Status ValidatePlanInputs(
           sm.threshold_batch));
     }
   }
-  // Fault-tolerance knobs (lease/retry/checkpoint) are part of
-  // ValidateConfig, so they are checked here too.
   return ValidateConfig(config, static_cast<int>(sub_models.size()),
                         num_workers);
 }

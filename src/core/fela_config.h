@@ -20,13 +20,11 @@ namespace fela::core {
 inline constexpr double kLeaseTimeoutSec = 15.0;
 inline constexpr double kRetryTimeoutSec = 5.0;
 
-/// Control-plane survivability. Each Token Server shard checkpoints its
-/// lease table every kTsCheckpointIntervalSec of simulated time; when a
-/// shard's hosting node crashes (or lands on a minority partition side)
-/// the shard is fenced, and a standby takes it over and re-arms the
-/// checkpointed leases kTsFailoverTimeoutSec later — the simulated
-/// detection + election delay.
-inline constexpr double kTsCheckpointIntervalSec = 5.0;
+/// Control-plane survivability. When a Token Server shard's hosting node
+/// crashes (or lands on a minority partition side) the shard is fenced
+/// and its live leases are reclaimed; a standby takes it over and grants
+/// the reclaimed tokens afresh kTsFailoverTimeoutSec later — the
+/// simulated detection + election delay.
 inline constexpr double kTsFailoverTimeoutSec = 10.0;
 
 /// Request retry backoff: the k-th consecutive retry of one request

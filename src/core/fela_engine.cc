@@ -38,10 +38,8 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
     shard_host_[static_cast<size_t>(s)] = ts_->shard_member_begin(s);
   }
   shard_inc_.assign(static_cast<size_t>(num_ts_shards_), 0);
-  shard_active_.assign(static_cast<size_t>(num_ts_shards_), true);
   shard_failover_timer_.assign(static_cast<size_t>(num_ts_shards_),
                                sim::kInvalidEventId);
-  shard_lease_cps_.resize(static_cast<size_t>(num_ts_shards_));
 
   worker_ctx_.sim = &cluster_->simulator();
   worker_ctx_.fabric = &cluster_->fabric();
@@ -52,12 +50,13 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
   // Control messages capture the TS incarnation at send time; if the
   // server fails over while they are in flight, delivery is voided —
   // fencing guarantees no message addressed to a dead incarnation is
-  // ever applied to its successor.
+  // ever applied to its successor. One that lands while its shard is
+  // still fenced is dropped by the Token Server itself.
   worker_ctx_.cbs.send_request = [this](sim::NodeId w) {
     const size_t s = static_cast<size_t>(ts_->ShardOfWorker(w));
     const int inc = shard_inc_[s];
     cluster_->fabric().SendControl(w, shard_host_[s], [this, w, s, inc] {
-      if (inc != shard_inc_[s] || !shard_active_[s]) return;  // fenced
+      if (inc != shard_inc_[s]) return;  // fenced
       ts_->HandleRequest(w);
     });
   };
@@ -66,7 +65,7 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
     const int inc = shard_inc_[s];
     cluster_->fabric().SendControl(w, shard_host_[s], [this, w, token, s,
                                                       inc] {
-      if (inc != shard_inc_[s] || !shard_active_[s]) return;  // fenced
+      if (inc != shard_inc_[s]) return;  // fenced
       ts_->HandleReport(w, token);
     });
   };
@@ -142,8 +141,7 @@ void FelaEngine::OnWorkerCrash(int worker) {
   // marking the worker down afterwards never fires a reclaim callback
   // for work the successor incarnation will grant again.
   const int s = ts_->ShardOfWorker(worker);
-  if (worker == shard_host_[static_cast<size_t>(s)] &&
-      shard_active_[static_cast<size_t>(s)]) {
+  if (worker == shard_host_[static_cast<size_t>(s)] && !ts_->shard_fenced(s)) {
     FenceShard(s);
   }
   ts_->SetWorkerDown(worker, true);
@@ -155,14 +153,15 @@ void FelaEngine::OnWorkerRecover(int worker) {
   const sim::SimTime now = cluster_->simulator().now();
   FELA_TRACE(&cluster_->trace(), now, worker, sim::TraceKind::kWorkerRecover,
              FELA_TOK("it=%d"), current_iteration());
-  const size_t ws = static_cast<size_t>(ts_->ShardOfWorker(worker));
-  if (!shard_active_[ws] && shard_failover_timer_[ws] == sim::kInvalidEventId) {
+  const int ws = ts_->ShardOfWorker(worker);
+  if (ts_->shard_fenced(ws) &&
+      shard_failover_timer_[static_cast<size_t>(ws)] == sim::kInvalidEventId) {
     // The worker's fenced shard found no live standby; this recovery
     // provides one.
-    CompleteShardFailover(static_cast<int>(ws));
+    CompleteShardFailover(ws);
   }
   const bool cut = monitor_ && monitor_->IsCut(worker);
-  if (shard_active_[ws] && !cut) ts_->SetWorkerDown(worker, false);
+  if (!ts_->shard_fenced(ws) && !cut) ts_->SetWorkerDown(worker, false);
   recover_pending_[static_cast<size_t>(worker)] = now;
   if (cut) return;  // still unreachable; the heal event re-admits it
   // Elastic scale-out normally waits for the iteration boundary, but a
@@ -176,10 +175,11 @@ void FelaEngine::OnWorkerRecover(int worker) {
 void FelaEngine::OnWorkerCut(int worker) {
   if (run_complete()) return;
   ++stats_.faults.partition_cuts;
-  const size_t ws = static_cast<size_t>(ts_->ShardOfWorker(worker));
+  const int ws = ts_->ShardOfWorker(worker);
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), worker,
              sim::TraceKind::kPartitionCut, FELA_TOK("it=%d anchor=%d"),
-             current_iteration(), static_cast<int>(shard_host_[ws]));
+             current_iteration(),
+             static_cast<int>(shard_host_[static_cast<size_t>(ws)]));
   const size_t w = static_cast<size_t>(worker);
   if (admitted_[w]) {
     admitted_[w] = false;
@@ -189,7 +189,7 @@ void FelaEngine::OnWorkerCut(int worker) {
   recover_pending_[w] = -1.0;
   // The process is alive (no OnCrash): it keeps computing and retrying;
   // the fabric drops its control messages until the partition heals.
-  if (shard_active_[ws]) ts_->SetWorkerDown(worker, true);
+  if (!ts_->shard_fenced(ws)) ts_->SetWorkerDown(worker, true);
   // Quorum is per shard: a sub-distributor yields only when its own host
   // can no longer reach a majority of its up members, and the majority
   // side fails over to a standby it can reach. A partition that isolates
@@ -199,7 +199,7 @@ void FelaEngine::OnWorkerCut(int worker) {
   const sim::SimTime now = cluster_->simulator().now();
   const sim::FaultSchedule& faults = cluster_->faults();
   for (int s = 0; s < num_ts_shards_; ++s) {
-    if (!shard_active_[static_cast<size_t>(s)] || failing_over_) continue;
+    if (ts_->shard_fenced(s) || failing_over_) continue;
     const sim::NodeId host = shard_host_[static_cast<size_t>(s)];
     int up = 0;
     int cut_up = 0;
@@ -217,18 +217,18 @@ void FelaEngine::OnWorkerHeal(int worker) {
   if (run_complete()) return;
   ++stats_.faults.partition_heals;
   const sim::SimTime now = cluster_->simulator().now();
-  const size_t ws = static_cast<size_t>(ts_->ShardOfWorker(worker));
+  const int ws = ts_->ShardOfWorker(worker);
   FELA_TRACE(&cluster_->trace(), now, worker, sim::TraceKind::kPartitionHeal,
              FELA_TOK("it=%d anchor=%d"), current_iteration(),
-             static_cast<int>(shard_host_[ws]));
+             static_cast<int>(shard_host_[static_cast<size_t>(ws)]));
   if (monitor_->IsDown(worker)) return;  // still crashed; recover re-admits
-  if (!shard_active_[ws] &&
-      shard_failover_timer_[ws] == sim::kInvalidEventId) {
+  if (ts_->shard_fenced(ws) &&
+      shard_failover_timer_[static_cast<size_t>(ws)] == sim::kInvalidEventId) {
     // The worker's fenced shard found no live standby while partitioned;
     // this heal provides one.
-    CompleteShardFailover(static_cast<int>(ws));
+    CompleteShardFailover(ws);
   }
-  if (shard_active_[ws]) ts_->SetWorkerDown(worker, false);
+  if (!ts_->shard_fenced(ws)) ts_->SetWorkerDown(worker, false);
   recover_pending_[static_cast<size_t>(worker)] = now;
   if (NeedsImmediateReadmit(worker)) {
     ReAdmit(worker);
@@ -264,53 +264,6 @@ void FelaEngine::ReAdmit(int worker) {
   }
 }
 
-void FelaEngine::TakeCheckpoint() {
-  if (run_complete()) return;
-  // Each active sub-distributor snapshots its lease table (its bucket
-  // inventory is root-replicated and survives the host); fenced shards
-  // keep their last pre-fence snapshot for the promotion.
-  bool any = false;
-  for (int s = 0; s < num_ts_shards_; ++s) {
-    if (!shard_active_[static_cast<size_t>(s)]) continue;
-    shard_lease_cps_[static_cast<size_t>(s)] = ts_->MakeShardLeaseCheckpoint(s);
-    any = true;
-  }
-  if (any) ++stats_.faults.ts_checkpoints;
-}
-
-bool FelaEngine::AnyShardActive() const {
-  for (int s = 0; s < num_ts_shards_; ++s) {
-    if (shard_active_[static_cast<size_t>(s)]) return true;
-  }
-  return false;
-}
-
-void FelaEngine::ArmCheckpointTimer() {
-  if (!faults_active() || run_complete() || !AnyShardActive()) return;
-  if (checkpoint_timer_ != sim::kInvalidEventId) return;
-  // Once the schedule has no transitions ahead, no future crash or cut
-  // can consume a checkpoint — and an unconditionally re-arming timer
-  // would keep a stalled run's event queue alive forever.
-  if (sim::IsNever(cluster_->faults().NextTransitionAfter(
-          cluster_->simulator().now()))) {
-    return;
-  }
-  checkpoint_timer_ = cluster_->simulator().Schedule(
-      kTsCheckpointIntervalSec, [this] {
-        checkpoint_timer_ = sim::kInvalidEventId;
-        if (run_complete() || !AnyShardActive()) return;
-        TakeCheckpoint();
-        ArmCheckpointTimer();
-      });
-}
-
-void FelaEngine::CancelCheckpointTimer() {
-  if (checkpoint_timer_ != sim::kInvalidEventId) {
-    cluster_->simulator().Cancel(checkpoint_timer_);
-    checkpoint_timer_ = sim::kInvalidEventId;
-  }
-}
-
 void FelaEngine::CancelFailoverTimers() {
   for (auto& timer : shard_failover_timer_) {
     if (timer != sim::kInvalidEventId) {
@@ -322,8 +275,7 @@ void FelaEngine::CancelFailoverTimers() {
 
 void FelaEngine::FenceShard(int shard) {
   const size_t s = static_cast<size_t>(shard);
-  if (!shard_active_[s] || run_complete()) return;
-  shard_active_[s] = false;
+  if (ts_->shard_fenced(shard) || run_complete()) return;
   // Live handoff: the shard's leases are reclaimed into its buckets
   // (root-held inventory) and its closed ledger is archived now; the
   // rest of the server keeps granting.
@@ -341,7 +293,7 @@ void FelaEngine::FenceShard(int shard) {
 
 void FelaEngine::CompleteShardFailover(int shard) {
   const size_t sidx = static_cast<size_t>(shard);
-  if (run_complete() || shard_active_[sidx]) return;
+  if (run_complete() || !ts_->shard_fenced(shard)) return;
   const sim::SimTime now = cluster_->simulator().now();
   const int n = cluster_->num_workers();
   const sim::FaultSchedule& faults = cluster_->faults();
@@ -368,11 +320,9 @@ void FelaEngine::CompleteShardFailover(int shard) {
   if (best < 0) return;  // no member up: the next recover/heal retries
 
   // Promote: the retained root un-fences the shard under a new
-  // incarnation, re-arming the checkpointed leases whose tokens are
-  // still parked in its buckets.
+  // incarnation, which grants the tokens the fence reclaimed afresh.
   shard_host_[sidx] = best;
   ++shard_inc_[sidx];
-  shard_active_[sidx] = true;
   ++stats_.faults.ts_failovers;
   FELA_TRACE(&cluster_->trace(), now, shard_host_[sidx],
              sim::TraceKind::kTsFailover,
@@ -384,7 +334,7 @@ void FelaEngine::CompleteShardFailover(int shard) {
         monitor_->IsDown(w) ||
         (w != best && faults.Partitioned(now, w, best));
   }
-  ts_->RestoreShard(shard, shard_lease_cps_[sidx], down_now);
+  ts_->UnfenceShard(shard, down_now);
   if (shard == 0) {
     // The root's host moved: re-anchor the partition monitor on it (the
     // sub-distributor shards never anchor the monitor).
@@ -392,8 +342,6 @@ void FelaEngine::CompleteShardFailover(int shard) {
     monitor_->RefreshCuts();
     failing_over_ = false;
   }
-  TakeCheckpoint();
-  ArmCheckpointTimer();
 }
 
 void FelaEngine::DeliverGrant(sim::NodeId worker, const Grant& grant) {
@@ -436,9 +384,6 @@ void FelaEngine::StartIteration(int iteration) {
   // The root is never destroyed, so the iteration always starts — fenced
   // shards just hold their freshly minted tokens until their promotion.
   ts_->BeginIteration(iteration);
-  // Boundary checkpoint: the iteration's first lease snapshot (RestoreShard
-  // ignores snapshots of an earlier iteration).
-  if (faults_active()) TakeCheckpoint();
   // Requests sent now to a fenced shard are voided; the workers' retry
   // backoff re-delivers them to the promoted incarnation.
   for (int w = 0; w < cluster_->num_workers(); ++w) {
@@ -502,7 +447,6 @@ void FelaEngine::MaybeFinishIteration() {
   // Teardown: cancel every fault-tolerance timer so no dangling event
   // keeps the queue alive or inflates total_time.
   if (monitor_) monitor_->Stop();
-  CancelCheckpointTimer();
   CancelFailoverTimers();
   ts_->CancelAllLeases();
   for (auto& w : workers_) w.Quiesce();
@@ -520,15 +464,12 @@ std::vector<std::string> FelaEngine::CheckFailoverInvariants() const {
   // Fenced incarnations close with zero live leases (FenceShard), so the
   // live count always belongs to the current incarnations.
   const uint64_t live = ts_->outstanding_lease_count();
-  if (cum.grants + cum.leases_restored !=
-      cum.completions + cum.tokens_reclaimed + live) {
+  if (cum.grants != cum.completions + cum.tokens_reclaimed + live) {
     out.push_back(common::StrFormat(
         "cumulative token conservation violated across %llu failovers: "
-        "grants=%llu + restored=%llu != completions=%llu + reclaimed=%llu "
-        "+ live=%llu",
+        "grants=%llu != completions=%llu + reclaimed=%llu + live=%llu",
         static_cast<unsigned long long>(stats_.faults.ts_failovers),
         static_cast<unsigned long long>(cum.grants),
-        static_cast<unsigned long long>(cum.leases_restored),
         static_cast<unsigned long long>(cum.completions),
         static_cast<unsigned long long>(cum.tokens_reclaimed),
         static_cast<unsigned long long>(live)));
@@ -540,10 +481,7 @@ std::vector<std::string> FelaEngine::CheckFailoverInvariants() const {
 }
 
 void FelaEngine::OnRunStart() {
-  if (monitor_) {
-    monitor_->Start();
-    ArmCheckpointTimer();
-  }
+  if (monitor_) monitor_->Start();
 }
 
 void FelaEngine::OnRunEnd() {
@@ -577,7 +515,6 @@ void FelaEngine::OnRunEnd() {
   stats_.faults.tokens_reclaimed = ts.tokens_reclaimed;
   stats_.faults.regrants = ts.regrants;
   stats_.faults.duplicate_reports = ts.duplicate_reports + ts.stale_reports;
-  stats_.faults.leases_restored = ts.leases_restored;
   for (const auto& w : workers_) stats_.faults.request_retries += w.retries();
 
   if (cluster_->observability()) {

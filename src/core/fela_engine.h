@@ -34,16 +34,15 @@ namespace fela::core {
 ///
 /// The control plane itself is survivable, one shard at a time (a
 /// one-shard server is the S=1 case): each shard's host is dynamic (the
-/// root starts at node 0 but is not pinned there). Every active shard
-/// checkpoints its lease table at iteration boundaries and on a periodic
-/// timer; when a shard's host crashes — or a partition cuts it off from
-/// the majority of the shard's up members — that shard is fenced
-/// (in-flight messages to it are voided, its leases are reclaimed into
-/// its root-held buckets) and, after kTsFailoverTimeoutSec, a standby
-/// on the best-connected up member un-fences it under a new incarnation
-/// and re-arms the checkpointed leases. The TokenServer object lives for
-/// the whole run. Workers keep retrying on their backoff schedule and
-/// converge on the new incarnation without restarting the run.
+/// root starts at node 0 but is not pinned there). When a shard's host
+/// crashes — or a partition cuts it off from the majority of the shard's
+/// up members — that shard is fenced (in-flight messages to it are
+/// voided, its leases are reclaimed into its root-held buckets) and,
+/// after kTsFailoverTimeoutSec, a standby on the best-connected up member
+/// un-fences it under a new incarnation, which grants the reclaimed
+/// tokens afresh. The TokenServer object lives for the whole run.
+/// Workers keep retrying on their backoff schedule and converge on the
+/// new incarnation without restarting the run.
 /// Partition-cut workers park (excluded like crashed ones, but their
 /// processes stay alive) and re-admit when the partition heals.
 class FelaEngine : public runtime::Engine {
@@ -93,21 +92,18 @@ class FelaEngine : public runtime::Engine {
   int ts_shard_incarnation(int shard) const {
     return shard_inc_[static_cast<size_t>(shard)];
   }
-  bool ts_shard_active(int shard) const {
-    return shard_active_[static_cast<size_t>(shard)];
-  }
   /// Token-server ledger summed over every incarnation: archived stats
   /// from failed-over servers plus the live one.
   TokenServer::Stats CumulativeTsStats() const;
   /// Audits token conservation across incarnations: summed over the whole
-  /// run, grants + leases_restored == completions + tokens_reclaimed +
-  /// live leases — i.e. no token is double-granted or lost across a
-  /// failover. Returns one line per violation; empty when healthy. The
-  /// fuzzer's FailoverSafetyOracle calls this post-run.
+  /// run, grants == completions + tokens_reclaimed + live leases — i.e.
+  /// no token is double-granted or lost across a failover. Returns one
+  /// line per violation; empty when healthy. The fuzzer's
+  /// FailoverSafetyOracle calls this post-run.
   std::vector<std::string> CheckFailoverInvariants() const;
 
  private:
-  void OnRunStart() override;  // starts the fault monitor and checkpoints
+  void OnRunStart() override;  // starts the fault monitor
   /// Closes the crash spans still open, cross-checks the trained sample
   /// count, and folds the ledgers into the run's faults and metrics.
   void OnRunEnd() override;
@@ -133,15 +129,6 @@ class FelaEngine : public runtime::Engine {
   bool NeedsImmediateReadmit(int worker) const;
   /// Makes the run's TokenServer and wires its callbacks to this engine.
   std::unique_ptr<TokenServer> MakeTokenServer();
-  /// Snapshots each active shard's lease table into shard_lease_cps_.
-  void TakeCheckpoint();
-  /// (Re-)arms the periodic checkpoint timer. Only armed while the fault
-  /// schedule still has transitions ahead — once no crash/cut can ever
-  /// happen again a checkpoint can never be consumed, and an
-  /// unconditionally re-arming timer would keep the event queue alive
-  /// forever on a stalled run.
-  void ArmCheckpointTimer();
-  void CancelCheckpointTimer();
   void CancelFailoverTimers();
   /// Fences one shard's active incarnation (its host crashed or lost
   /// quorum among the shard's members): closes that shard's ledger,
@@ -151,11 +138,10 @@ class FelaEngine : public runtime::Engine {
   void FenceShard(int shard);
   /// Promotes a standby for one shard: picks the shard member (any up
   /// worker when unsharded) that can reach the most other members right
-  /// now (ties -> lowest id), restores the shard's lease checkpoint, and
-  /// — for the root shard — re-anchors the partition monitor. No-op if
-  /// no member is up — retried on the next member recover or heal event.
+  /// now (ties -> lowest id), un-fences the shard, and — for the root
+  /// shard — re-anchors the partition monitor. No-op if no member is up
+  /// — retried on the next member recover or heal event.
   void CompleteShardFailover(int shard);
-  bool AnyShardActive() const;
   bool faults_active() const { return cluster_->faults().Active(); }
 
   model::Model model_;
@@ -188,22 +174,17 @@ class FelaEngine : public runtime::Engine {
   /// Bumped on every failover of that shard; control messages capture
   /// the shard incarnation at send time and are voided on delivery if it
   /// no longer matches (fencing — a message addressed to a dead
-  /// sub-distributor is never applied to its successor).
+  /// sub-distributor is never applied to its successor). Whether a shard
+  /// is fenced right now is the Token Server's to say (shard_fenced).
   std::vector<int> shard_inc_;
-  /// shard_active_[s] is false between FenceShard(s) and a successful
-  /// CompleteShardFailover(s).
-  std::vector<bool> shard_active_;
   std::vector<sim::EventId> shard_failover_timer_;
   /// True while CompleteShardFailover re-anchors the monitor; suppresses
   /// the quorum re-check that the re-anchoring cut events would otherwise
   /// trigger (a standby on a minority island must not instantly re-fence
   /// itself — only a *new* schedule transition may).
   bool failing_over_ = false;
-  /// Per-shard lease checkpoints.
-  std::vector<TokenServer::ShardLeaseCheckpoint> shard_lease_cps_;
   /// Ledgers of finalized (failed-over) incarnations, element-wise summed.
   TokenServer::Stats ts_stats_archive_;
-  sim::EventId checkpoint_timer_ = sim::kInvalidEventId;
 
   int syncs_done_ = 0;
   bool tokens_done_ = false;

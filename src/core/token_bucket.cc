@@ -94,19 +94,6 @@ std::optional<Token> TokenBucket::Take(sim::NodeId worker,
   return std::nullopt;
 }
 
-std::optional<Token> TokenBucket::TakeById(TokenId id) {
-  for (auto& [level, queue] : by_level_) {
-    for (size_t i = 0; i < queue.size(); ++i) {
-      if (queue[i].id != id) continue;
-      Token token = std::move(queue[i]);
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-      --size_;
-      return token;
-    }
-  }
-  return std::nullopt;
-}
-
 std::vector<Token> TokenBucket::Snapshot() const {
   std::vector<Token> out;
   out.reserve(size_);

@@ -53,19 +53,13 @@ class TokenBucket {
   std::optional<Token> Take(sim::NodeId worker, const InfoMapping& info,
                             const std::vector<int>& order, bool use_locality);
 
-  /// Removes and returns the token with the given id, or nullopt if it is
-  /// not stored here. Used by the sharded Token Server's failover path to
-  /// pull a fence-parked token back out when its checkpointed lease is
-  /// restored.
-  std::optional<Token> TakeById(TokenId id);
-
   /// Locality score used by Take (exposed for tests).
   static double ScoreFor(sim::NodeId worker, const InfoMapping& info,
                          const Token& token);
 
   /// Every stored token, level-ascending then FIFO within a level — the
-  /// same order a sequence of Add calls would rebuild. The deterministic
-  /// serialization the Token Server's checkpoint uses.
+  /// same order a sequence of Add calls would rebuild. The Token Server's
+  /// invariant audit recounts its buckets through this.
   std::vector<Token> Snapshot() const;
 
   void Clear();

@@ -23,7 +23,6 @@ TokenServer::Stats& TokenServer::Stats::operator+=(const Stats& other) {
   duplicate_reports += other.duplicate_reports;
   stale_reports += other.stale_reports;
   redundant_requests += other.redundant_requests;
-  leases_restored += other.leases_restored;
   cross_shard_steals += other.cross_shard_steals;
   donations += other.donations;
   grant_attempts += other.grant_attempts;
@@ -180,21 +179,19 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
     const uint64_t live =
         static_cast<uint64_t>(shard_leases_[static_cast<size_t>(s)].size());
     const char* scope = num_shards_ == 1 ? "" : "shard ";
-    if (st.grants + st.leases_restored !=
-        st.completions + st.tokens_reclaimed + live) {
+    if (st.grants != st.completions + st.tokens_reclaimed + live) {
       out.push_back(common::StrFormat(
-          "%s%stoken conservation violated: grants=%llu + restored=%llu != "
+          "%s%stoken conservation violated: grants=%llu != "
           "completions=%llu + reclaimed=%llu + live_leases=%llu",
           scope, num_shards_ == 1 ? "" : common::StrFormat("%d ", s).c_str(),
           static_cast<unsigned long long>(st.grants),
-          static_cast<unsigned long long>(st.leases_restored),
           static_cast<unsigned long long>(st.completions),
           static_cast<unsigned long long>(st.tokens_reclaimed),
           static_cast<unsigned long long>(live)));
     }
-    // A restored incarnation may re-grant bucket tokens whose reclaim was
+    // An un-fenced incarnation re-grants bucket tokens whose reclaim was
     // counted by a previous incarnation (attempt > 0 survives the fence),
-    // so regrants <= reclaimed only binds for never-restored
+    // so regrants <= reclaimed only binds for never-fenced
     // incarnations. Reclaimed tokens also migrate between shards — by
     // donation (the donor booked the reclaim, the thief books the
     // regrant) or by ReclaimLease re-bucketing them on an up worker of
@@ -306,7 +303,7 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
   // No token is ever double-granted or double-owned: a token id lives in
   // at most one place cluster-wide — one bucket slot or one lease of one
   // shard, never both, never twice. This is the structural half of the
-  // failover-safety oracle (a restore or a donation that duplicated a
+  // failover-safety oracle (a fence or a donation that duplicated a
   // token would trip it).
   std::map<TokenId, int> seen;
   for (const TokenBucket& b : stbs_) {
@@ -325,28 +322,14 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
   return out;
 }
 
-TokenServer::ShardLeaseCheckpoint TokenServer::MakeShardLeaseCheckpoint(
-    int shard) const {
-  ShardLeaseCheckpoint cp;
-  cp.valid = true;
-  cp.taken_at = sim_->now();
-  cp.iteration = iteration_;
-  const auto& leases = shard_leases_[static_cast<size_t>(shard)];
-  cp.leases.reserve(leases.size());
-  for (const auto& [id, lease] : leases) {
-    cp.leases.emplace_back(lease.token, lease.worker);
-  }
-  return cp;
-}
-
 TokenServer::Stats TokenServer::FenceShard(int shard) {
   const size_t s = static_cast<size_t>(shard);
   FELA_CHECK(!shard_fenced_[s]) << "shard " << shard << " already fenced";
   // Reclaim every live lease into the holder's own bucket: the work in
-  // flight dies with the shard host and will be redone under the next
-  // incarnation (helpers can steal it meanwhile is NOT allowed — the
-  // fenced shard neither grants nor donates until RestoreShard, so its
-  // inventory is frozen root-held metadata). No callbacks fire.
+  // flight dies with the shard host and is granted afresh by the next
+  // incarnation (helpers cannot steal it meanwhile — the fenced shard
+  // neither grants nor donates until UnfenceShard, so its inventory is
+  // frozen root-held metadata). No callbacks fire.
   Stats& st = shard_stats_[s];
   for (auto& [id, lease] : shard_leases_[s]) {
     if (lease.timer != sim::kInvalidEventId) sim_->Cancel(lease.timer);
@@ -365,34 +348,13 @@ TokenServer::Stats TokenServer::FenceShard(int shard) {
   return closed;
 }
 
-void TokenServer::RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
-                               const std::vector<bool>& down_now) {
+void TokenServer::UnfenceShard(int shard, const std::vector<bool>& down_now) {
   const size_t s = static_cast<size_t>(shard);
-  FELA_CHECK(shard_fenced_[s]) << "RestoreShard of a live shard";
+  FELA_CHECK(shard_fenced_[s]) << "UnfenceShard of a live shard";
   FELA_CHECK(shard_leases_[s].empty());
   shard_fenced_[s] = false;
   shard_restored_[s] = true;
   shard_lock_free_[s] = 0.0;  // the successor's distributor lock starts free
-  if (cp.valid && cp.iteration == iteration_) {
-    // Re-arm checkpointed leases whose tokens are still parked in the
-    // shard (they were live at the fence and the iteration has not
-    // turned over): the holders are presumed still computing. The parked
-    // copy (attempt bumped by the fence) is discarded in favor of the
-    // checkpointed token, which matches the grant the worker actually
-    // holds.
-    for (const auto& [token, worker] : cp.leases) {
-      if (down_now[static_cast<size_t>(worker)]) continue;
-      if (outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
-        continue;
-      }
-      std::optional<Token> parked =
-          stbs_[BucketIndexFor(worker)].TakeById(token.id);
-      if (!parked.has_value()) continue;
-      NoteBucketTake(shard, parked->level);
-      ArmLease(shard, worker, token);
-      ++shard_stats_[s].leases_restored;
-    }
-  }
   // Apply the present down/cut picture of the shard's members in BOTH
   // directions: the retained root may carry member state from before the
   // fence (a member that crashed and recovered while the shard was dark).

@@ -74,7 +74,7 @@ struct Grant {
 /// no code path scans all P workers. With one shard (any flat topology)
 /// every grant path degenerates to the original single server and
 /// fault-free transcripts are byte-identical to it; its failover is the
-/// S=1 case of the per-shard FenceShard/RestoreShard handoff.
+/// S=1 case of the per-shard FenceShard/UnfenceShard handoff.
 class FELA_THREAD_HOSTILE TokenServer {
  public:
   struct Callbacks {
@@ -105,10 +105,8 @@ class FELA_THREAD_HOSTILE TokenServer {
     uint64_t remote_dep_fetches = 0;
     uint64_t local_dep_hits = 0;
     // Fault-tolerance accounting. Every grant terminates in exactly one
-    // of {accepted completion, reclaim}; a lease restored from a
-    // checkpoint enters this incarnation's ledger without a local grant,
-    // so the per-incarnation identity is
-    //   grants + leases_restored == completions + tokens_reclaimed + live.
+    // of {accepted completion, reclaim}, so the per-incarnation identity
+    // is grants == completions + tokens_reclaimed + live.
     uint64_t completions = 0;        // reports accepted
     uint64_t tokens_reclaimed = 0;   // leases reclaimed (crash + expiry)
     uint64_t lease_expirations = 0;  // reclaims caused by a silent worker
@@ -116,7 +114,7 @@ class FELA_THREAD_HOSTILE TokenServer {
     uint64_t duplicate_reports = 0;  // reports not matching the live grant
     uint64_t stale_reports = 0;      // reports from a finished iteration
     uint64_t redundant_requests = 0; // requests while a grant is live
-    uint64_t leases_restored = 0;    // leases re-armed from a checkpoint
+    uint64_t leases_restored = 0;    // always 0; the benchmark reads it
     // Hierarchical-steal accounting (always 0 on a one-shard server).
     // A donated token moves wholly to the thief's shard: the thief's
     // ledger carries its grant and completion; the donor only counts the
@@ -133,21 +131,6 @@ class FELA_THREAD_HOSTILE TokenServer {
     /// Element-wise sum — used by the engine to fold stats archived from
     /// failed-over incarnations into one cumulative ledger.
     Stats& operator+=(const Stats& other);
-  };
-
-  /// The per-shard checkpoint (a one-shard server is the S=1 case). The
-  /// shard's bucket inventory is root-replicated metadata that survives
-  /// a shard-host crash, so only the lease table is checkpoint-bound:
-  /// leases present here when the shard is fenced are re-armed on
-  /// restore (leases_restored); leases granted after the snapshot die
-  /// with the incarnation and are reclaimed into the shard's buckets.
-  /// Statistics are deliberately NOT captured: each incarnation keeps its
-  /// own ledger and the engine archives them across failovers.
-  struct ShardLeaseCheckpoint {
-    bool valid = false;
-    sim::SimTime taken_at = 0.0;
-    int iteration = -1;
-    std::vector<std::pair<Token, sim::NodeId>> leases;
   };
 
   TokenServer(sim::Simulator* sim, const sim::Calibration* cal,
@@ -212,25 +195,23 @@ class FELA_THREAD_HOSTILE TokenServer {
                     static_cast<sim::NodeId>(num_workers()));
   }
 
-  /// Snapshots one shard's live lease table (see ShardLeaseCheckpoint).
-  ShardLeaseCheckpoint MakeShardLeaseCheckpoint(int shard) const;
-
   /// Fences one shard (the whole server when it has one shard): every
   /// live lease is reclaimed into the shard's own buckets (attempt
   /// bumped — the work in flight dies with the shard host), the shard
-  /// stops granting and donating, and its closed ledger is returned (and
-  /// reset for the successor incarnation). The closed ledger balances:
-  /// grants + restored == completions + reclaimed, live == 0.
+  /// stops granting, donating and accepting messages, and its closed
+  /// ledger is returned (and reset for the successor incarnation). The
+  /// closed ledger balances: grants == completions + reclaimed.
   Stats FenceShard(int shard);
 
-  /// Un-fences a shard under a new incarnation: checkpointed leases whose
-  /// tokens are still parked in the shard's buckets (i.e. were live when
-  /// the shard was fenced and the iteration has not turned over) are
-  /// re-armed with fresh deadlines and counted as leases_restored; the
-  /// present down/cut picture of the shard's members is applied; waiters
-  /// are re-served.
-  void RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
-                    const std::vector<bool>& down_now);
+  /// Un-fences a shard under a new incarnation: the present down/cut
+  /// picture of the shard's members is applied and waiters are served,
+  /// so the tokens the fence reclaimed are granted afresh.
+  void UnfenceShard(int shard, const std::vector<bool>& down_now);
+
+  /// True between FenceShard(shard) and UnfenceShard(shard).
+  bool shard_fenced(int shard) const {
+    return shard_fenced_[static_cast<size_t>(shard)];
+  }
 
   /// Enables distributor-lock observability: every serialized pass
   /// through a shard's lock (including its fetching-conflict penalty)
@@ -390,15 +371,16 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// shard's token ids are granted in increasing order, so inserts are
   /// amortized appends instead of rebalancing tree allocations, lookups
   /// are a binary search over one contiguous slab, and iteration is
-  /// deterministically sorted — the same observable order the old
-  /// std::map gave (transcripts stay byte-identical).
+  /// deterministically sorted — the order FenceShard reclaims in, and the
+  /// same observable order the old std::map gave (transcripts stay
+  /// byte-identical).
   std::vector<common::FlatMap<TokenId, Lease>> shard_leases_;
   std::vector<TokenId> outstanding_;  // live grant per worker, or invalid
   std::vector<bool> down_;
   bool leases_enabled_ = false;
   Canaries canaries_;
   uint64_t canary_completions_ = 0;  // accepted while leak_completions
-  /// Shard was restored under a successor incarnation. Its buckets keep
+  /// Shard was un-fenced under a successor incarnation. Its buckets keep
   /// tokens whose reclaim a *previous* incarnation counted (attempt > 0
   /// survives the fence), so CheckInvariants relaxes regrants <=
   /// reclaimed for it.
@@ -409,7 +391,7 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// regrants <= reclaimed bound must credit these to stay sound.
   std::vector<uint64_t> migrated_reclaims_in_;
   /// Fenced shards neither grant nor donate; their buckets keep
-  /// accumulating (root-held inventory) until RestoreShard.
+  /// accumulating (root-held inventory) until UnfenceShard.
   std::vector<bool> shard_fenced_;
   std::vector<sim::NodeId> helping_;     // helping_[w] = victim or -1
   std::vector<int> helper_count_;        // helpers currently aiding worker v

@@ -65,6 +65,7 @@ void FelaWorker::OnCrash() {
 }
 
 void FelaWorker::Quiesce() {
+  retries_enabled_ = false;
   CancelRetryTimer();
   if (token_wait_) {
     // The run ended before the grant came; an open-ended wait would

@@ -87,8 +87,10 @@ class FelaWorker {
   /// a recovered worker is re-admitted mid-iteration).
   void RequestWork(int iteration);
 
-  /// Cancels any pending retry timer (run teardown — leaves no dangling
-  /// events in the simulator queue).
+  /// Cancels any pending retry timer and turns retries off (run teardown
+  /// — leaves no dangling events in the simulator queue, and a token
+  /// still computing when the run ends arms no new timer when it
+  /// finishes).
   void Quiesce();
 
   /// Enables token-wait span emission: the interval from each request

@@ -47,9 +47,8 @@ std::string DeterminismTranscript(const ExperimentResult& result) {
   AppendLine(&out, "faults.readmissions", Count(f.readmissions));
   AppendLine(&out, "faults.recovery_latency_total",
              Num(f.recovery_latency_total));
-  // ts_checkpoints is deliberately absent: boundary checkpoints fire on
-  // *attached* (even inert) schedules, so including the counter would
-  // break inert-schedule == faultless byte identity.
+  // ts_checkpoints is absent; leases_restored, always 0, stays so the
+  // transcript's bytes do not move.
   AppendLine(&out, "faults.ts_failovers", Count(f.ts_failovers));
   AppendLine(&out, "faults.partition_cuts", Count(f.partition_cuts));
   AppendLine(&out, "faults.partition_heals", Count(f.partition_heals));
@@ -87,8 +86,7 @@ std::string BinaryTranscript(const ExperimentResult& result) {
   binio::AppendF64(&out, result.average_throughput);
   binio::AppendF64(&out, result.gpu_utilization);
   const FaultStats& f = result.stats.faults;
-  // Same counter set as the text transcript — ts_checkpoints stays out
-  // for the same inert-schedule reason documented there.
+  // Same counter set as the text transcript (see there).
   binio::AppendU64(&out, f.crashes);
   binio::AppendU64(&out, f.recoveries);
   binio::AppendU64(&out, f.control_dropped);

@@ -34,14 +34,12 @@ struct FaultStats {
   uint64_t readmissions = 0;         // recovered workers re-admitted
   double recovery_latency_total = 0.0;  // recover event -> re-admission secs
   uint64_t ts_failovers = 0;         // token-server standby promotions
-  /// Checkpoints taken by the token server. NOT part of the determinism
-  /// transcript: boundary checkpoints fire whenever a fault schedule is
-  /// merely *attached*, so an inert schedule would diverge from the
-  /// faultless twin on this counter alone.
+  /// Always 0: the Token Server takes no checkpoints. Kept because the
+  /// benchmark reads it; not part of the determinism transcript.
   uint64_t ts_checkpoints = 0;
   uint64_t partition_cuts = 0;       // workers cut off from the TS host
   uint64_t partition_heals = 0;      // cut workers reconnected
-  uint64_t leases_restored = 0;      // leases re-armed from a checkpoint
+  uint64_t leases_restored = 0;      // always 0; the transcripts print it
 
   bool any() const {
     return crashes + control_dropped + control_duplicated + tokens_reclaimed +

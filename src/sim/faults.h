@@ -33,9 +33,9 @@ namespace fela::sim {
 ///    (parameter chunks / sample shards are assumed recoverable from
 ///    node-local persistent storage, as with a replicated PS).
 ///  * The Token Server starts on node 0 but is no longer pinned there:
-///    Fela checkpoints TS state at simulated intervals and, when the
-///    hosting node crashes or lands on a minority partition side, fails
-///    over to a standby that restores from the last checkpoint (see
+///    when the hosting node crashes or lands on a minority partition
+///    side, Fela fences the server, reclaims its live leases, and fails
+///    over to a standby that grants the reclaimed tokens afresh (see
 ///    DESIGN.md §6). Schedules are therefore free to crash or partition
 ///    worker 0 like any other node; DP stalls and PS aborts when their
 ///    coordinator (rank 0) becomes unreachable, which is exactly the

@@ -140,8 +140,7 @@ void StatsSanityOracle::Check(const FuzzSpec& spec,
                              result.gpu_utilization));
   }
   // Regrants can only re-issue reclaimed tokens, across TS failovers
-  // too: a fence books a reclaim for every lease it takes back, and a
-  // restored lease is re-armed, not regranted.
+  // too: a fence books a reclaim for every lease it takes back.
   if (stats.faults.regrants > stats.faults.tokens_reclaimed) {
     Report(common::StrFormat(
         "regrants (%llu) exceed tokens reclaimed (%llu)",

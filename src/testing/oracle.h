@@ -107,10 +107,11 @@ class StatsSanityOracle final : public InvariantOracle {
 };
 
 /// Token conservation must survive Token Server failover: summed over
-/// every incarnation, grants + leases_restored == completions +
-/// tokens_reclaimed + live leases — i.e. no token is double-granted or
-/// lost when a standby restores from a checkpoint. Audits FelaEngine
-/// runs via FelaEngine::CheckFailoverInvariants; vacuous elsewhere.
+/// every incarnation, grants == completions + tokens_reclaimed + live
+/// leases — i.e. no token is double-granted or lost when a fence
+/// reclaims a shard's leases and a standby grants them afresh. Audits
+/// FelaEngine runs via FelaEngine::CheckFailoverInvariants; vacuous
+/// elsewhere.
 class FailoverSafetyOracle final : public InvariantOracle {
  public:
   std::string name() const override { return "failover-safety"; }

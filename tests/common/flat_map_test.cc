@@ -27,7 +27,7 @@ TEST(FlatMapTest, SubscriptInsertsDefaultAndFinds) {
 }
 
 TEST(FlatMapTest, IterationIsAlwaysKeySorted) {
-  // The property the token-lease table depends on: checkpoints serialize
+  // The property the token-lease table depends on: a fence reclaims
   // leases in sorted key order no matter the insertion order.
   FlatMap<int, int> m;
   for (const int k : {5, 1, 9, 3, 7}) m[k] = k * 10;

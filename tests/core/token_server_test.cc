@@ -28,6 +28,9 @@ class TokenServerHarness {
       completed_levels.push_back(level);
     };
     cbs.on_all_levels_complete = [this] { all_done = true; };
+    cbs.on_reclaim = [this](const Token& token, sim::NodeId from) {
+      reclaimed.emplace_back(token.id, from);
+    };
     ts_ = std::make_unique<TokenServer>(&sim_, &cal_, &plan_, &config_,
                                         std::move(cbs));
   }
@@ -70,6 +73,7 @@ class TokenServerHarness {
   std::unique_ptr<TokenServer> ts_;
 
   std::vector<std::pair<sim::NodeId, Grant>> grants;
+  std::vector<std::pair<TokenId, sim::NodeId>> reclaimed;  // (token, from)
   std::vector<int> completed_levels;
   bool all_done = false;
 };
@@ -306,10 +310,13 @@ TEST(TokenServerTest, GrantIsLeasedToItsWorker) {
   h.ts().BeginIteration(0);
   h.ts().HandleRequest(2);
   auto [w, g] = h.PopGrant();
-  const auto cp = h.ts().MakeShardLeaseCheckpoint(h.ts().ShardOfWorker(2));
-  ASSERT_EQ(cp.leases.size(), 1u);
-  EXPECT_EQ(cp.leases[0].first.id, g.token.id);
-  EXPECT_EQ(cp.leases[0].second, 2);
+  EXPECT_EQ(w, 2);
+  // The lease is what a crash reclaims: marking its holder down pulls
+  // exactly that token back from exactly that worker.
+  h.ts().SetWorkerDown(2, true);
+  ASSERT_EQ(h.reclaimed.size(), 1u);
+  EXPECT_EQ(h.reclaimed[0].first, g.token.id);
+  EXPECT_EQ(h.reclaimed[0].second, 2);
 }
 
 TEST(TokenServerTest, ReportForWrongIterationCountedAndDropped) {

@@ -1,4 +1,4 @@
-// Control-plane survivability: Token Server checkpoint/failover, network
+// Control-plane survivability: Token Server fence/failover, network
 // partitions (park-and-heal), gray failures absorbed by backoff, lease
 // reclaim under duplicated-and-dropped reports, and the validation that
 // rejects malformed fault schedules.
@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,16 +75,13 @@ TEST(ControlPlaneTest, TsCrashFailsOverAndCompletes) {
   EXPECT_EQ(stats.faults.ts_failovers, 1u);
   EXPECT_NE(engine.ts_node(), 0);  // a standby took over
   EXPECT_EQ(engine.ts_incarnation(), 1);
-  EXPECT_GT(stats.faults.ts_checkpoints, 0u);
   EXPECT_TRUE(engine.admitted(0));  // rejoined after recovery
   ExpectFailoverInvariantsHold(engine);
 
   // Cumulative ledger balances across both incarnations: nothing is left
-  // leased at run end, so grants + restored == completions + reclaimed.
+  // leased at run end, so grants == completions + reclaimed.
   const TokenServer::Stats ts = engine.CumulativeTsStats();
-  EXPECT_EQ(ts.grants + ts.leases_restored,
-            ts.completions + ts.tokens_reclaimed);
-  EXPECT_EQ(stats.faults.leases_restored, ts.leases_restored);
+  EXPECT_EQ(ts.grants, ts.completions + ts.tokens_reclaimed);
 }
 
 TEST(ControlPlaneTest, TsFailStopCompletesWhereDpStalls) {
@@ -341,40 +337,32 @@ TEST(ControlPlaneTest, FailoverRunReplaysByteIdentically) {
   EXPECT_FALSE(s1.stalled);
   EXPECT_DOUBLE_EQ(s1.total_time, s2.total_time);
   EXPECT_EQ(s1.faults.ts_failovers, s2.faults.ts_failovers);
-  EXPECT_EQ(s1.faults.leases_restored, s2.faults.leases_restored);
   EXPECT_EQ(trace1, trace2);
   EXPECT_FALSE(trace1.empty());
 }
 
-TEST(ControlPlaneTest, CheckpointRestoreRoundTripMidIteration) {
-  // Drive a real engine, snapshot its TS mid-run via the engine's own
-  // checkpoint machinery (a TS crash forces restore), and confirm the
-  // successor finished the plan from the snapshot rather than a redo:
-  // the restored incarnation inherits leases instead of re-granting
-  // everything from scratch.
+TEST(ControlPlaneTest, FailoverRegrantsFencedTokensWithoutLeaseExpiry) {
+  // The TS host (worker 0) fail-stops 1% into iteration 1, while every
+  // worker is training a token. The fence reclaims all eight leases and
+  // voids the holders' reports; the promoted standby grants the eight
+  // tokens afresh. None of them waits out kLeaseTimeoutSec first, so each
+  // reclaim is regranted exactly once.
   const int kIters = 4;
-  const double kBatch = 1024.0;
+  const double kBatch = 512.0;
   const auto clean = CleanFelaStats(kIters, kBatch);
   const auto& it1 = clean.iterations[1];
-  // At this batch an iteration outlasts the checkpoint interval, so a
-  // periodic checkpoint (one every kTsCheckpointIntervalSec from the run
-  // start) lands inside iteration 1. The TS host dies 1% of an iteration
-  // later, while the leases that checkpoint recorded are still live.
-  const double it_len = it1.end - it1.start;
-  ASSERT_GT(it_len, kTsCheckpointIntervalSec);
-  const double checkpoint = kTsCheckpointIntervalSec *
-                            std::ceil(it1.start / kTsCheckpointIntervalSec);
+  const double crash = it1.start + 0.01 * (it1.end - it1.start);
   auto cluster = FaultyCluster(std::make_unique<sim::ScriptedCrashes>(
-      std::vector<sim::CrashEvent>{
-          {0, checkpoint + 0.01 * it_len, sim::kNeverTime}}));
+      std::vector<sim::CrashEvent>{{0, crash, sim::kNeverTime}}));
   FelaEngine engine(cluster.get(), model::zoo::Vgg19(), PaperConfig(),
                     kBatch);
   const auto stats = engine.Run(kIters);
 
   EXPECT_EQ(stats.iteration_count(), kIters);
   EXPECT_EQ(stats.faults.ts_failovers, 1u);
-  EXPECT_GE(stats.faults.ts_checkpoints, 2u);
-  EXPECT_GE(stats.faults.leases_restored, 1u);
+  EXPECT_EQ(engine.CumulativeTsStats().lease_expirations, 0u);
+  EXPECT_EQ(stats.faults.tokens_reclaimed, 8u);
+  EXPECT_EQ(stats.faults.regrants, 8u);
   ExpectFailoverInvariantsHold(engine);
 }
 
@@ -496,15 +484,14 @@ TEST(ShardedControlPlaneTest, ShardHostFailStopScopesOutageToItsRack) {
   EXPECT_EQ(sharded_stats.faults.ts_failovers, 1u);
   EXPECT_EQ(sharded.ts_shard_host(1), 5);  // in-rack standby promoted
   EXPECT_EQ(sharded.ts_shard_incarnation(1), 1);
-  EXPECT_TRUE(sharded.ts_shard_active(1));
+  EXPECT_FALSE(sharded.token_server().shard_fenced(1));
   EXPECT_EQ(sharded.ts_shard_host(0), 0);  // the root never noticed
   EXPECT_EQ(sharded.ts_shard_incarnation(0), 0);
   EXPECT_FALSE(sharded.admitted(4));  // scaled in around the dead host
   EXPECT_GT(sharded.token_server().shard_stats(0).grants, 0u);
   ExpectFailoverInvariantsHold(sharded);
   const TokenServer::Stats cum = sharded.CumulativeTsStats();
-  EXPECT_EQ(cum.grants + cum.leases_restored,
-            cum.completions + cum.tokens_reclaimed);
+  EXPECT_EQ(cum.grants, cum.completions + cum.tokens_reclaimed);
 
   // Whole-TS fail-stop on the same fabric: ts_shards=1 collapses the
   // server back to a monolith, so losing its host (worker 0) darkens
@@ -552,7 +539,7 @@ TEST(ShardedControlPlaneTest, RackIsolatingPartitionParksOnlyThatRack) {
   EXPECT_EQ(stats.faults.ts_failovers, 0u);  // both hosts kept quorum
   for (int s = 0; s < 2; ++s) {
     EXPECT_EQ(engine.ts_shard_incarnation(s), 0) << "shard " << s;
-    EXPECT_TRUE(engine.ts_shard_active(s)) << "shard " << s;
+    EXPECT_FALSE(engine.token_server().shard_fenced(s)) << "shard " << s;
   }
   for (int w = 4; w < 8; ++w) {
     EXPECT_TRUE(engine.admitted(w)) << "worker " << w;  // healed + rejoined
@@ -588,17 +575,15 @@ TEST(ShardedControlPlaneTest, LedgerSurvivesTwoSuccessiveShardFailovers) {
   EXPECT_EQ(stats.faults.ts_failovers, 2u);
   EXPECT_EQ(engine.ts_shard_host(1), 6);  // second standby in line
   EXPECT_EQ(engine.ts_shard_incarnation(1), 2);
-  EXPECT_TRUE(engine.ts_shard_active(1));
+  EXPECT_FALSE(engine.token_server().shard_fenced(1));
   EXPECT_EQ(engine.ts_shard_incarnation(0), 0);  // root untouched
   ExpectFailoverInvariantsHold(engine);
 
   // The cross-incarnation ledger: every incarnation's archived stats
   // plus the live server's must balance cluster-wide — nothing stays
-  // leased at run end, so grants + restored == completions + reclaimed.
+  // leased at run end, so grants == completions + reclaimed.
   const TokenServer::Stats cum = engine.CumulativeTsStats();
-  EXPECT_EQ(cum.grants + cum.leases_restored,
-            cum.completions + cum.tokens_reclaimed);
-  EXPECT_EQ(stats.faults.leases_restored, cum.leases_restored);
+  EXPECT_EQ(cum.grants, cum.completions + cum.tokens_reclaimed);
 }
 
 }  // namespace
