@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
       slot->transfers = cluster.fabric().data_transfer_count();
       slot->cross_rack = cluster.fabric().cross_rack_transfer_count();
       if (const auto* fela = dynamic_cast<const core::FelaEngine*>(&engine)) {
-        const core::TokenServer::Stats ts = fela->ts_stats();
+        const core::TokenServer::Stats ts = fela->token_server().stats();
         slot->grants = ts.grants;
         slot->grant_attempts = ts.grant_attempts;
         slot->ts_shards = fela->ts_shard_count();

@@ -71,6 +71,6 @@ int main() {
   }
   std::printf("\nhelper steals this iteration: %lu (workers emptying their "
               "own STB and fetching the straggler's tokens)\n",
-              static_cast<unsigned long>(engine.ts_stats().steals));
+              static_cast<unsigned long>(engine.token_server().stats().steals));
   return 0;
 }

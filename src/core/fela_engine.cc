@@ -277,9 +277,8 @@ void FelaEngine::FenceShard(int shard) {
   const size_t s = static_cast<size_t>(shard);
   if (ts_->shard_fenced(shard) || run_complete()) return;
   // Live handoff: the shard's leases are reclaimed into its buckets
-  // (root-held inventory) and its closed ledger is archived now; the
-  // rest of the server keeps granting.
-  ts_stats_archive_ += ts_->FenceShard(shard);
+  // (root-held inventory); the rest of the server keeps granting.
+  ts_->FenceShard(shard);
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), shard_host_[s],
              sim::TraceKind::kTsFailover, FELA_TOK("fence inc=%d it=%d"),
              shard_inc_[s], current_iteration());
@@ -445,39 +444,11 @@ void FelaEngine::MaybeFinishIteration() {
   FinishIteration();
   if (!run_complete()) return;
   // Teardown: cancel every fault-tolerance timer so no dangling event
-  // keeps the queue alive or inflates total_time.
+  // keeps the queue alive.
   if (monitor_) monitor_->Stop();
   CancelFailoverTimers();
   ts_->CancelAllLeases();
   for (auto& w : workers_) w.Quiesce();
-}
-
-TokenServer::Stats FelaEngine::CumulativeTsStats() const {
-  TokenServer::Stats s = ts_stats_archive_;
-  s += ts_->stats();
-  return s;
-}
-
-std::vector<std::string> FelaEngine::CheckFailoverInvariants() const {
-  std::vector<std::string> out;
-  const TokenServer::Stats cum = CumulativeTsStats();
-  // Fenced incarnations close with zero live leases (FenceShard), so the
-  // live count always belongs to the current incarnations.
-  const uint64_t live = ts_->outstanding_lease_count();
-  if (cum.grants != cum.completions + cum.tokens_reclaimed + live) {
-    out.push_back(common::StrFormat(
-        "cumulative token conservation violated across %llu failovers: "
-        "grants=%llu != completions=%llu + reclaimed=%llu + live=%llu",
-        static_cast<unsigned long long>(stats_.faults.ts_failovers),
-        static_cast<unsigned long long>(cum.grants),
-        static_cast<unsigned long long>(cum.completions),
-        static_cast<unsigned long long>(cum.tokens_reclaimed),
-        static_cast<unsigned long long>(live)));
-  }
-  for (const std::string& line : ts_->CheckInvariants()) {
-    out.push_back("live incarnation: " + line);
-  }
-  return out;
 }
 
 void FelaEngine::OnRunStart() {
@@ -510,8 +481,8 @@ void FelaEngine::OnRunEnd() {
   stats_.faults.control_dropped = cluster_->fabric().control_dropped_count();
   stats_.faults.control_duplicated =
       cluster_->fabric().control_duplicated_count();
-  // Fold every incarnation's ledger into the run's fault accounting.
-  const TokenServer::Stats ts = CumulativeTsStats();
+  // Fold the Token Server's ledger into the run's fault accounting.
+  const TokenServer::Stats ts = ts_->stats();
   stats_.faults.tokens_reclaimed = ts.tokens_reclaimed;
   stats_.faults.regrants = ts.regrants;
   stats_.faults.duplicate_reports = ts.duplicate_reports + ts.stale_reports;
@@ -533,9 +504,9 @@ void FelaEngine::OnRunEnd() {
         .Set(ts.conflict_delay_total);
     if (num_ts_shards_ > 1) {
       // Hierarchical-distributor observability: the cross-rack steal
-      // totals plus each sub-distributor's live-incarnation ledger. Only
-      // emitted for sharded servers so unsharded metric dumps (and their
-      // golden diffs) are unchanged.
+      // totals plus each sub-distributor's ledger, which sum to them.
+      // Only emitted for sharded servers so unsharded metric dumps (and
+      // their golden diffs) are unchanged.
       m.GetCounter("ts_cross_shard_steals", labels)
           .Increment(ts.cross_shard_steals);
       m.GetCounter("ts_donations", labels).Increment(ts.donations);

@@ -12,7 +12,6 @@ TokenServer::Stats& TokenServer::Stats::operator+=(const Stats& other) {
   grants += other.grants;
   steals += other.steals;
   conflicts += other.conflicts;
-  enqueued_waits += other.enqueued_waits;
   conflict_delay_total += other.conflict_delay_total;
   remote_dep_fetches += other.remote_dep_fetches;
   local_dep_hits += other.local_dep_hits;
@@ -59,7 +58,6 @@ TokenServer::TokenServer(sim::Simulator* sim, const sim::Calibration* cal,
   shard_lock_free_.assign(S, 0.0);
   shard_next_seq_.assign(S, 0);
   shard_fenced_.assign(S, false);
-  shard_restored_.assign(S, false);
   migrated_reclaims_in_.assign(S, 0);
   shard_level_avail_.assign(
       S, std::vector<int>(static_cast<size_t>(plan_->num_levels()), 0));
@@ -189,16 +187,13 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
           static_cast<unsigned long long>(st.tokens_reclaimed),
           static_cast<unsigned long long>(live)));
     }
-    // An un-fenced incarnation re-grants bucket tokens whose reclaim was
-    // counted by a previous incarnation (attempt > 0 survives the fence),
-    // so regrants <= reclaimed only binds for never-fenced
-    // incarnations. Reclaimed tokens also migrate between shards — by
-    // donation (the donor booked the reclaim, the thief books the
-    // regrant) or by ReclaimLease re-bucketing them on an up worker of
-    // another shard — so the bound credits the shard's migrated-in count.
-    if (!shard_restored_[static_cast<size_t>(s)] &&
-        st.regrants >
-            st.tokens_reclaimed + migrated_reclaims_in_[static_cast<size_t>(s)]) {
+    // Only a reclaimed token (attempt > 0) is regranted. Reclaimed
+    // tokens migrate between shards — by donation (the donor booked the
+    // reclaim, the thief books the regrant) or by ReclaimLease
+    // re-bucketing them on an up worker of another shard — so the bound
+    // credits the shard's migrated-in count.
+    if (st.regrants >
+        st.tokens_reclaimed + migrated_reclaims_in_[static_cast<size_t>(s)]) {
       out.push_back(common::StrFormat(
           "shard %d regrants without reclaim: regrants=%llu > reclaimed=%llu "
           "+ migrated_in=%llu",
@@ -226,6 +221,15 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
           static_cast<unsigned long long>(st.cross_shard_steals),
           static_cast<unsigned long long>(st.steals)));
     }
+  }
+  // Hierarchical steals balance: every cross-shard grant was donated by
+  // exactly one donor shard.
+  const Stats total = stats();
+  if (total.donations != total.cross_shard_steals) {
+    out.push_back(common::StrFormat(
+        "donor/thief books disagree: donations=%llu != cross_shard_steals=%llu",
+        static_cast<unsigned long long>(total.donations),
+        static_cast<unsigned long long>(total.cross_shard_steals)));
   }
   // The availability caches the root reads for donor picks and fast
   // fails must agree with a recount of each shard's buckets — a donation
@@ -302,9 +306,8 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
   }
   // No token is ever double-granted or double-owned: a token id lives in
   // at most one place cluster-wide — one bucket slot or one lease of one
-  // shard, never both, never twice. This is the structural half of the
-  // failover-safety oracle (a fence or a donation that duplicated a
-  // token would trip it).
+  // shard, never both, never twice. A fence or a donation that
+  // duplicated a token would trip it.
   std::map<TokenId, int> seen;
   for (const TokenBucket& b : stbs_) {
     for (const Token& t : b.Snapshot()) ++seen[t.id];
@@ -322,7 +325,7 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
   return out;
 }
 
-TokenServer::Stats TokenServer::FenceShard(int shard) {
+void TokenServer::FenceShard(int shard) {
   const size_t s = static_cast<size_t>(shard);
   FELA_CHECK(!shard_fenced_[s]) << "shard " << shard << " already fenced";
   // Reclaim every live lease into the holder's own bucket: the work in
@@ -330,22 +333,16 @@ TokenServer::Stats TokenServer::FenceShard(int shard) {
   // incarnation (helpers cannot steal it meanwhile — the fenced shard
   // neither grants nor donates until UnfenceShard, so its inventory is
   // frozen root-held metadata). No callbacks fire.
-  Stats& st = shard_stats_[s];
   for (auto& [id, lease] : shard_leases_[s]) {
     if (lease.timer != sim::kInvalidEventId) sim_->Cancel(lease.timer);
     outstanding_[static_cast<size_t>(lease.worker)] = kInvalidTokenId;
-    ++st.tokens_reclaimed;
+    ++shard_stats_[s].tokens_reclaimed;
     Token token = std::move(lease.token);
     ++token.attempt;
     AddFreshToken(std::move(token), lease.worker);
   }
   shard_leases_[s].clear();
   shard_fenced_[s] = true;
-  // The fenced incarnation's ledger closes balanced (live == 0) and is
-  // handed to the caller to archive; the successor starts a fresh one.
-  Stats closed = st;
-  st = Stats{};
-  return closed;
 }
 
 void TokenServer::UnfenceShard(int shard, const std::vector<bool>& down_now) {
@@ -353,7 +350,6 @@ void TokenServer::UnfenceShard(int shard, const std::vector<bool>& down_now) {
   FELA_CHECK(shard_fenced_[s]) << "UnfenceShard of a live shard";
   FELA_CHECK(shard_leases_[s].empty());
   shard_fenced_[s] = false;
-  shard_restored_[s] = true;
   shard_lock_free_[s] = 0.0;  // the successor's distributor lock starts free
   // Apply the present down/cut picture of the shard's members in BOTH
   // directions: the retained root may carry member state from before the
@@ -609,12 +605,11 @@ sim::SimTime TokenServer::ArmLease(int shard, sim::NodeId worker,
   return deadline;
 }
 
-bool TokenServer::Park(sim::NodeId worker) {
+void TokenServer::Park(sim::NodeId worker) {
   const size_t w = static_cast<size_t>(worker);
-  if (waiting_[w]) return false;
+  if (waiting_[w]) return;
   waiting_[w] = true;
   shard_waiters_[static_cast<size_t>(ShardOfWorker(worker))].push_back(worker);
-  return true;
 }
 
 bool TokenServer::TryGrant(sim::NodeId worker) {
@@ -654,17 +649,15 @@ void TokenServer::HandleRequest(sim::NodeId worker) {
   // so a request landing here is a straggler — drop it (the worker's
   // retry reaches the successor incarnation).
   if (shard_fenced_[static_cast<size_t>(shard)]) return;
-  Stats& st = shard_stats_[static_cast<size_t>(shard)];
   if (outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
     // A retransmitted request racing a grant already in flight (or whose
     // grant was lost). Park the worker; it is served as soon as its
     // lease resolves — granting a second token now would double-book it.
-    ++st.redundant_requests;
+    ++shard_stats_[static_cast<size_t>(shard)].redundant_requests;
     Park(worker);
     return;
   }
-  if (TryGrant(worker)) return;
-  if (Park(worker)) ++st.enqueued_waits;
+  if (!TryGrant(worker)) Park(worker);
 }
 
 void TokenServer::ServeWaiters() {

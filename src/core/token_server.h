@@ -100,13 +100,12 @@ class FELA_THREAD_HOSTILE TokenServer {
     uint64_t grants = 0;
     uint64_t steals = 0;
     uint64_t conflicts = 0;
-    uint64_t enqueued_waits = 0;
     double conflict_delay_total = 0.0;
     uint64_t remote_dep_fetches = 0;
     uint64_t local_dep_hits = 0;
     // Fault-tolerance accounting. Every grant terminates in exactly one
-    // of {accepted completion, reclaim}, so the per-incarnation identity
-    // is grants == completions + tokens_reclaimed + live.
+    // of {accepted completion, reclaim}, so over the whole run, fences
+    // included, grants == completions + tokens_reclaimed + live.
     uint64_t completions = 0;        // reports accepted
     uint64_t tokens_reclaimed = 0;   // leases reclaimed (crash + expiry)
     uint64_t lease_expirations = 0;  // reclaims caused by a silent worker
@@ -118,7 +117,8 @@ class FELA_THREAD_HOSTILE TokenServer {
     // Hierarchical-steal accounting (always 0 on a one-shard server).
     // A donated token moves wholly to the thief's shard: the thief's
     // ledger carries its grant and completion; the donor only counts the
-    // donation, so no token is owned by two shards.
+    // donation, so no token is owned by two shards. Summed over shards,
+    // donations == cross_shard_steals.
     uint64_t cross_shard_steals = 0; // grants filled by another shard
     uint64_t donations = 0;          // tokens this shard gave away
     // Simulator work counter, not a simulated quantity: TryGrant calls
@@ -128,8 +128,7 @@ class FELA_THREAD_HOSTILE TokenServer {
     // transcript, so metric dumps and goldens do not depend on it.
     uint64_t grant_attempts = 0;
 
-    /// Element-wise sum — used by the engine to fold stats archived from
-    /// failed-over incarnations into one cumulative ledger.
+    /// Element-wise sum; stats() folds the shard ledgers with it.
     Stats& operator+=(const Stats& other);
   };
 
@@ -163,7 +162,7 @@ class FELA_THREAD_HOSTILE TokenServer {
     /// conservation oracle must bite).
     bool leak_completions = false;
     /// Keep counting a donated token in the donor's availability cache
-    /// (the shard-conservation audit must bite).
+    /// (the per-shard availability audit must bite).
     bool skip_donor_decrement = false;
   };
   void set_canaries_for_testing(const Canaries& canaries) {
@@ -197,11 +196,10 @@ class FELA_THREAD_HOSTILE TokenServer {
 
   /// Fences one shard (the whole server when it has one shard): every
   /// live lease is reclaimed into the shard's own buckets (attempt
-  /// bumped — the work in flight dies with the shard host), the shard
-  /// stops granting, donating and accepting messages, and its closed
-  /// ledger is returned (and reset for the successor incarnation). The
-  /// closed ledger balances: grants == completions + reclaimed.
-  Stats FenceShard(int shard);
+  /// bumped — the work in flight dies with the shard host) and booked
+  /// in the shard's ledger, and the shard stops granting, donating and
+  /// accepting messages.
+  void FenceShard(int shard);
 
   /// Un-fences a shard under a new incarnation: the present down/cut
   /// picture of the shard's members is applied and waiters are served,
@@ -223,29 +221,29 @@ class FELA_THREAD_HOSTILE TokenServer {
   const InfoMapping& info() const { return info_; }
   /// Cluster-wide ledger: the element-wise sum of every shard's ledger.
   Stats stats() const;
-  /// One shard's live ledger (the per-shard conservation identity holds
-  /// for each of these independently).
+  /// One shard's ledger over the whole run (the per-shard conservation
+  /// identity holds for each of these independently).
   const Stats& shard_stats(int shard) const {
     return shard_stats_[static_cast<size_t>(shard)];
   }
   size_t waiter_count() const;
-  size_t outstanding_lease_count() const;
   size_t PendingTokenCount() const;
   int tokens_completed(int level) const {
     return completed_count_[static_cast<size_t>(level)];
   }
 
   /// Audits the token-accounting ledger; returns one line per violated
-  /// invariant, empty when healthy. Safe to call at any point in a run:
-  /// the conservation identity (every grant terminates in exactly one of
-  /// completion or reclaim) counts still-live leases as in flight. On a
-  /// sharded server the audit runs per shard (each shard's ledger must
+  /// invariant, empty when healthy. Safe to call at any point in a run,
+  /// fences included: the conservation identity (every grant terminates
+  /// in exactly one of completion or reclaim) counts still-live leases
+  /// as in flight. The audit runs per shard (each shard's ledger must
   /// balance on its own, and the cached per-level availability counts
-  /// must match a recount of its buckets) plus cluster-wide (summed
-  /// ledger, level caps, and global token uniqueness across every
-  /// shard's buckets and leases — a double-counted donation trips it).
-  /// The fuzzer's TokenConservationOracle and ShardConservationOracle
-  /// call this through the ExperimentSpec::post_run_probe hook.
+  /// must match a recount of its buckets) plus cluster-wide (every
+  /// donation matches one cross-shard steal, level caps, and global
+  /// token uniqueness across every shard's buckets and leases — a
+  /// double-counted donation trips it). The fuzzer's
+  /// TokenConservationOracle calls this through the
+  /// ExperimentSpec::post_run_probe hook.
   std::vector<std::string> CheckInvariants() const;
 
  private:
@@ -317,9 +315,8 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// Writes `worker`'s lease on `token` into `shard`'s table and arms its
   /// expiry timer when leasing is on; returns the deadline (0 when off).
   sim::SimTime ArmLease(int shard, sim::NodeId worker, const Token& token);
-  /// Queues `worker` on its shard's wait queue unless it already waits;
-  /// true when it was queued now.
-  bool Park(sim::NodeId worker);
+  /// Queues `worker` on its shard's wait queue unless it already waits.
+  void Park(sim::NodeId worker);
   /// One pass over every live shard's wait queue (shards by index, FIFO
   /// within a shard), stopping once no bucket holds a token.
   void ServeWaiters();
@@ -327,6 +324,8 @@ class FELA_THREAD_HOSTILE TokenServer {
     return std::any_of(level_avail_.begin(), level_avail_.end(),
                        [](int n) { return n > 0; });
   }
+  /// Live leases across every shard's table.
+  size_t outstanding_lease_count() const;
 
   /// Pulls a live lease back: cancels its timer (unless it just fired),
   /// bumps the token's attempt count, returns it to the most local up
@@ -380,11 +379,6 @@ class FELA_THREAD_HOSTILE TokenServer {
   bool leases_enabled_ = false;
   Canaries canaries_;
   uint64_t canary_completions_ = 0;  // accepted while leak_completions
-  /// Shard was un-fenced under a successor incarnation. Its buckets keep
-  /// tokens whose reclaim a *previous* incarnation counted (attempt > 0
-  /// survives the fence), so CheckInvariants relaxes regrants <=
-  /// reclaimed for it.
-  std::vector<bool> shard_restored_;
   /// Reclaimed tokens (attempt > 0) that migrated into this shard after
   /// another shard booked their reclaim: won in a cross-shard steal and
   /// re-granted here, or re-bucketed here by ReclaimLease. The per-shard

@@ -40,7 +40,11 @@ RunStats Engine::Run(int iterations) {
       iter_span_.reset();
     }
   }
-  stats_.total_time = cluster_->simulator().now();
+  // A completed run ends with its last iteration; events after it (a
+  // late report of a reclaimed token) are not run time. A stalled run
+  // lasts until the queue drained.
+  stats_.total_time = run_complete_ ? stats_.iterations.back().end
+                                    : cluster_->simulator().now();
   stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
   stats_.total_gpu_busy = cluster_->TotalGpuBusy();
   stats_.control_messages = cluster_->fabric().control_message_count();

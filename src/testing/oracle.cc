@@ -152,50 +152,6 @@ void StatsSanityOracle::Check(const FuzzSpec& spec,
   }
 }
 
-void FailoverSafetyOracle::Probe(const FuzzSpec& spec,
-                                 const runtime::Engine& engine,
-                                 runtime::Cluster& cluster) {
-  (void)spec;
-  (void)cluster;
-  const auto* fela = dynamic_cast<const core::FelaEngine*>(&engine);
-  if (fela == nullptr) return;  // no failover machinery to audit
-  for (std::string& line : fela->CheckFailoverInvariants()) {
-    Report(std::move(line));
-  }
-}
-
-void ShardConservationOracle::Probe(const FuzzSpec& spec,
-                                    const runtime::Engine& engine,
-                                    runtime::Cluster& cluster) {
-  (void)cluster;
-  const auto* fela = dynamic_cast<const core::FelaEngine*>(&engine);
-  if (fela == nullptr) return;  // no shard ledgers to audit
-  const core::TokenServer& ts = fela->token_server();
-  if (ts.num_shards() <= 1) return;  // single distributor: nothing sharded
-  // The per-shard half of the full audit: conservation per ledger,
-  // availability caches vs bucket recounts, double-ownership across
-  // shards. (Cluster-wide identities are token-conservation's job; the
-  // lines overlap on sharded runs, which is fine — two oracles naming
-  // the same corpse is still one corpse.)
-  for (std::string& line : ts.CheckInvariants()) {
-    Report(std::move(line));
-  }
-  // Hierarchical steals balance: every cross-shard grant was donated by
-  // exactly one donor shard. Only claimed fault-free — a fence archives
-  // the donor's ledger mid-run, splitting the two sides of the identity
-  // across incarnations.
-  if (spec.fault == FaultKind::kNone) {
-    const core::TokenServer::Stats stats = ts.stats();
-    if (stats.donations != stats.cross_shard_steals) {
-      Report(common::StrFormat(
-          "donor/thief books disagree: donations=%llu != "
-          "cross_shard_steals=%llu",
-          static_cast<unsigned long long>(stats.donations),
-          static_cast<unsigned long long>(stats.cross_shard_steals)));
-    }
-  }
-}
-
 void PartitionHealingOracle::Check(const FuzzSpec& spec,
                                    const runtime::ExperimentResult& result) {
   if (spec.fault != FaultKind::kPartition &&
@@ -218,8 +174,6 @@ std::vector<std::unique_ptr<InvariantOracle>> DefaultOracles() {
   out.push_back(std::make_unique<MemoryBoundsOracle>());
   out.push_back(std::make_unique<AttributionOracle>());
   out.push_back(std::make_unique<StatsSanityOracle>());
-  out.push_back(std::make_unique<FailoverSafetyOracle>());
-  out.push_back(std::make_unique<ShardConservationOracle>());
   out.push_back(std::make_unique<PartitionHealingOracle>());
   return out;
 }

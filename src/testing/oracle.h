@@ -53,11 +53,15 @@ class InvariantOracle {
   std::vector<Violation> violations_;
 };
 
-/// Token accounting must balance: grants == completions + reclaims +
+/// Token accounting must balance over the whole run, Token Server
+/// failovers included: per shard, grants == completions + reclaims +
 /// live leases, regrants only of reclaimed tokens, expirations a subset
-/// of reclaims, per-level completion/generation never past the plan.
-/// Audits FelaEngine runs via TokenServer::CheckInvariants; other
-/// engines have no token ledger and pass vacuously.
+/// of reclaims, and availability caches that match a recount of the
+/// shard's buckets; cluster-wide, every donation matches one cross-shard
+/// steal, per-level completion/generation never passes the plan, and no
+/// token is schedulable or leased in two places at once. Audits
+/// FelaEngine runs via TokenServer::CheckInvariants; other engines have
+/// no token ledger and pass vacuously.
 class TokenConservationOracle final : public InvariantOracle {
  public:
   std::string name() const override { return "token-conservation"; }
@@ -104,33 +108,6 @@ class StatsSanityOracle final : public InvariantOracle {
   std::string name() const override { return "stats-sanity"; }
   void Check(const FuzzSpec& spec,
              const runtime::ExperimentResult& result) override;
-};
-
-/// Token conservation must survive Token Server failover: summed over
-/// every incarnation, grants == completions + tokens_reclaimed + live
-/// leases — i.e. no token is double-granted or lost when a fence
-/// reclaims a shard's leases and a standby grants them afresh. Audits
-/// FelaEngine runs via FelaEngine::CheckFailoverInvariants; vacuous
-/// elsewhere.
-class FailoverSafetyOracle final : public InvariantOracle {
- public:
-  std::string name() const override { return "failover-safety"; }
-  void Probe(const FuzzSpec& spec, const runtime::Engine& engine,
-             runtime::Cluster& cluster) override;
-};
-
-/// Sharded Token Server books must balance per sub-distributor, not just
-/// in aggregate: each shard's conservation identity holds on its own
-/// ledger, the per-shard availability caches agree with a recount of the
-/// buckets the shard owns (a donation that double-counts a token trips
-/// this), and no token id is schedulable or leased in two shards at
-/// once. On fault-free runs every cross-shard grant must carry exactly
-/// one donor-side donation. Vacuous off-Fela and on single-shard runs.
-class ShardConservationOracle final : public InvariantOracle {
- public:
-  std::string name() const override { return "shard-conservation"; }
-  void Probe(const FuzzSpec& spec, const runtime::Engine& engine,
-             runtime::Cluster& cluster) override;
 };
 
 /// Partitions and gray failures are survivable for every engine except

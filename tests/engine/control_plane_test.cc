@@ -44,10 +44,11 @@ runtime::RunStats CleanFelaStats(int iterations, double batch) {
   return engine.Run(iterations);
 }
 
-/// The cross-incarnation conservation identity plus the live server's
-/// own ledger must both hold after any fault scenario.
+/// The Token Server's ledger must audit clean after any fault scenario:
+/// each shard keeps one ledger across all of its fences and failovers.
 void ExpectFailoverInvariantsHold(const FelaEngine& engine) {
-  const std::vector<std::string> violations = engine.CheckFailoverInvariants();
+  const std::vector<std::string> violations =
+      engine.token_server().CheckInvariants();
   EXPECT_TRUE(violations.empty())
       << "first violation: " << violations.front();
 }
@@ -78,9 +79,9 @@ TEST(ControlPlaneTest, TsCrashFailsOverAndCompletes) {
   EXPECT_TRUE(engine.admitted(0));  // rejoined after recovery
   ExpectFailoverInvariantsHold(engine);
 
-  // Cumulative ledger balances across both incarnations: nothing is left
-  // leased at run end, so grants == completions + reclaimed.
-  const TokenServer::Stats ts = engine.CumulativeTsStats();
+  // The ledger balances across both incarnations: nothing is left leased
+  // at run end, so grants == completions + reclaimed.
+  const TokenServer::Stats ts = engine.token_server().stats();
   EXPECT_EQ(ts.grants, ts.completions + ts.tokens_reclaimed);
 }
 
@@ -226,7 +227,7 @@ TEST(ControlPlaneTest, GrayFailureAbsorbedByBackoff) {
   EXPECT_EQ(stats.faults.crashes, 0u);
   EXPECT_EQ(stats.faults.ts_failovers, 0u);
   ExpectFailoverInvariantsHold(engine);
-  const TokenServer::Stats& ts = engine.ts_stats();
+  const TokenServer::Stats& ts = engine.token_server().stats();
   EXPECT_EQ(ts.grants, ts.completions + ts.tokens_reclaimed);
 }
 
@@ -290,7 +291,7 @@ TEST(ControlPlaneTest, DroppedAndDuplicatedReportsInOneRun) {
   // A dropped completion report leaves its lease dangling; the timeout
   // reclaims it and the token is re-granted. Counter identity: every
   // regrant consumed a reclaim, every reclaim-by-silence is an expiry.
-  const TokenServer::Stats& ts = engine.ts_stats();
+  const TokenServer::Stats& ts = engine.token_server().stats();
   EXPECT_GE(ts.lease_expirations, 1u);
   EXPECT_GE(ts.regrants, 1u);
   EXPECT_LE(ts.regrants, ts.tokens_reclaimed);
@@ -360,7 +361,7 @@ TEST(ControlPlaneTest, FailoverRegrantsFencedTokensWithoutLeaseExpiry) {
 
   EXPECT_EQ(stats.iteration_count(), kIters);
   EXPECT_EQ(stats.faults.ts_failovers, 1u);
-  EXPECT_EQ(engine.CumulativeTsStats().lease_expirations, 0u);
+  EXPECT_EQ(engine.token_server().stats().lease_expirations, 0u);
   EXPECT_EQ(stats.faults.tokens_reclaimed, 8u);
   EXPECT_EQ(stats.faults.regrants, 8u);
   ExpectFailoverInvariantsHold(engine);
@@ -448,7 +449,7 @@ TEST(ControlPlaneTest, FaultScheduleValidationRejectsOutOfRangeWorkers) {
 // coordinated by a thin root on shard 0's host. These chaos tests pin
 // the blast-radius story: a shard-host fail-stop scopes the outage to
 // its own rack, a rack-isolating partition parks exactly that rack, and
-// the per-incarnation conservation ledger survives repeated failovers.
+// each shard's conservation ledger survives repeated failovers.
 
 std::unique_ptr<runtime::Cluster> RackedFaultyCluster(
     std::unique_ptr<sim::FaultSchedule> faults, int n = 8, int rack = 4) {
@@ -490,7 +491,7 @@ TEST(ShardedControlPlaneTest, ShardHostFailStopScopesOutageToItsRack) {
   EXPECT_FALSE(sharded.admitted(4));  // scaled in around the dead host
   EXPECT_GT(sharded.token_server().shard_stats(0).grants, 0u);
   ExpectFailoverInvariantsHold(sharded);
-  const TokenServer::Stats cum = sharded.CumulativeTsStats();
+  const TokenServer::Stats cum = sharded.token_server().stats();
   EXPECT_EQ(cum.grants, cum.completions + cum.tokens_reclaimed);
 
   // Whole-TS fail-stop on the same fabric: ts_shards=1 collapses the
@@ -579,10 +580,10 @@ TEST(ShardedControlPlaneTest, LedgerSurvivesTwoSuccessiveShardFailovers) {
   EXPECT_EQ(engine.ts_shard_incarnation(0), 0);  // root untouched
   ExpectFailoverInvariantsHold(engine);
 
-  // The cross-incarnation ledger: every incarnation's archived stats
-  // plus the live server's must balance cluster-wide — nothing stays
-  // leased at run end, so grants == completions + reclaimed.
-  const TokenServer::Stats cum = engine.CumulativeTsStats();
+  // The ledger spans all three incarnations of shard 1 and must balance
+  // cluster-wide — nothing stays leased at run end, so grants ==
+  // completions + reclaimed.
+  const TokenServer::Stats cum = engine.token_server().stats();
   EXPECT_EQ(cum.grants, cum.completions + cum.tokens_reclaimed);
 }
 

@@ -65,7 +65,7 @@ TEST(FaultRecoveryTest, CrashMidIterationReclaimsTokensAndCompletes) {
 
   // Token accounting balances: every grant either completed or was
   // reclaimed, and the crash reclaimed the in-flight grant.
-  const auto& ts = engine.ts_stats();
+  const auto& ts = engine.token_server().stats();
   EXPECT_EQ(ts.grants, ts.completions + ts.tokens_reclaimed);
   EXPECT_GE(ts.tokens_reclaimed, 1u);
   EXPECT_EQ(stats.faults.tokens_reclaimed, ts.tokens_reclaimed);
@@ -112,7 +112,7 @@ TEST(FaultRecoveryTest, FailStopCrashStallsDpButNotFela) {
   EXPECT_EQ(fela_stats.faults.crashes, 1u);
   EXPECT_EQ(fela_stats.faults.recoveries, 0u);
   EXPECT_FALSE(fela.admitted(5));  // scaled in around the dead worker
-  const auto& ts = fela.ts_stats();
+  const auto& ts = fela.token_server().stats();
   EXPECT_EQ(ts.grants, ts.completions + ts.tokens_reclaimed);
 }
 
@@ -144,7 +144,7 @@ TEST(FaultRecoveryTest, LossyControlPlaneRecoversViaLeasesAndRetries) {
   EXPECT_EQ(stats.iteration_count(), kIters);
   EXPECT_FALSE(stats.stalled);
   EXPECT_GT(stats.faults.control_dropped, 0u);
-  const auto& ts = engine.ts_stats();
+  const auto& ts = engine.token_server().stats();
   EXPECT_EQ(ts.grants, ts.completions + ts.tokens_reclaimed);
   // Dropped messages surface as retries and/or expired leases; the run
   // must have exercised at least one recovery mechanism.

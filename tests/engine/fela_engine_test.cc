@@ -166,7 +166,7 @@ TEST(FelaEngineTest, HelpersStealUnderStragglers) {
   FelaConfig cfg = FelaConfig::Defaults(3, 8);  // fine-grained tokens
   FelaEngine engine(&slow, model::zoo::Vgg19(), cfg, 512);
   engine.Run(4);
-  EXPECT_GT(engine.ts_stats().steals, 0u);
+  EXPECT_GT(engine.token_server().stats().steals, 0u);
 }
 
 TEST(FelaEngineTest, AblationAdsOffStillCorrect) {
@@ -185,7 +185,8 @@ TEST(FelaEngineTest, AblationHfOffStillCorrect) {
   FelaEngine engine(cluster.get(), model::zoo::Vgg19(), cfg, 128);
   const auto stats = engine.Run(3);
   EXPECT_EQ(stats.iteration_count(), 3);
-  EXPECT_GT(engine.ts_stats().conflicts, 0u);  // global bucket contention
+  // Global bucket contention.
+  EXPECT_GT(engine.token_server().stats().conflicts, 0u);
 }
 
 TEST(FelaEngineTest, HfOffIsSlowerThanHfOn) {

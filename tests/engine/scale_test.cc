@@ -123,7 +123,6 @@ TEST(ThousandWorkerSmoke, TokenLedgerSamplesAndAttribution) {
     probed = true;
     const auto& fela = dynamic_cast<const core::FelaEngine&>(engine);
     EXPECT_TRUE(fela.token_server().CheckInvariants().empty());
-    EXPECT_TRUE(fela.CheckFailoverInvariants().empty());
     double samples = 0.0;
     for (int w = 0; w < kWorkers; ++w) {
       samples += fela.worker(w).samples_trained();
@@ -135,7 +134,7 @@ TEST(ThousandWorkerSmoke, TokenLedgerSamplesAndAttribution) {
     // Waiters are served in one pass that stops when the buckets run
     // dry, so a grant costs about one attempt, not a re-scan of every
     // parked worker.
-    const core::TokenServer::Stats ts = fela.ts_stats();
+    const core::TokenServer::Stats ts = fela.token_server().stats();
     EXPECT_LE(ts.grant_attempts, 2 * ts.grants);
   };
   const ExperimentResult result = RunExperiment(

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -129,8 +131,8 @@ FuzzSpec DonatingShardSpec() {
 
 /// The sharding mutation canary: the root skips the donor-side
 /// availability decrement when a token migrates between shards, so the
-/// donor's books double-count it. If the shard-conservation oracle
-/// stays quiet under this, the per-shard audit is decorative.
+/// donor's books double-count it. If the token-conservation oracle stays
+/// quiet under this, its per-shard audit is decorative.
 class ShardMutationCanaryTest : public ::testing::Test {
  protected:
   ShardMutationCanaryTest() { armed_.canaries.skip_donor_decrement = true; }
@@ -142,10 +144,10 @@ TEST_F(ShardMutationCanaryTest, ShardConservationOracleBites) {
   const FuzzCaseResult r = RunFuzzCase(DonatingShardSpec(), armed_);
   bool tripped = false;
   for (const Violation& v : r.violations) {
-    if (v.oracle == "shard-conservation") tripped = true;
+    if (v.oracle == "token-conservation") tripped = true;
   }
   EXPECT_TRUE(tripped)
-      << "donor double-count never tripped shard-conservation ("
+      << "donor double-count never tripped token-conservation ("
       << r.violations.size() << " violation(s) total)";
 }
 
@@ -170,6 +172,27 @@ TEST(ShardFuzzTest, ReclaimMigratedToAnotherShardIsCredited) {
                         << r.violations.front().oracle << ": "
                         << r.violations.front().detail;
   }
+}
+
+// Regression: in fuzz seed 778 (the checked-in retry_after_run_end
+// repro) a partition-cut worker finishes a reclaimed token at 2.056 s,
+// after the 5th and last iteration ended. That late report is not run
+// time: a completed run lasts until its last iteration's end.
+TEST(FuzzerTest, CompletedRunEndsWithItsLastIteration) {
+  std::ifstream in(std::string(FELA_REPRO_DIR) + "/retry_after_run_end.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  common::Json json;
+  std::string error;
+  ASSERT_TRUE(common::Json::Parse(text.str(), &json, &error)) << error;
+  FuzzSpec spec;
+  ASSERT_TRUE(SpecFromJson(json, &spec, &error)) << error;
+  const runtime::RunStats stats = RunFuzzCase(spec).result.stats;
+  ASSERT_FALSE(stats.stalled);
+  ASSERT_EQ(stats.iteration_count(), 5);
+  EXPECT_EQ(stats.total_time, stats.iterations.back().end);
+  EXPECT_NEAR(stats.total_time, 1.54716, 1e-5);
 }
 
 TEST_F(MutationCanaryTest, CanaryOnlyAffectsFelaRuns) {
