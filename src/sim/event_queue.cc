@@ -62,7 +62,11 @@ void EventQueue::PopRoot() {
   if (!heap_.empty()) SiftDown(0);
 }
 
-EventId EventQueue::Push(SimTime when, EventFn fn) {
+// Forced inline: Push and PushAfter each run it on their hot path, and
+// the compiler would otherwise keep one out-of-line copy for both.
+[[gnu::always_inline]] inline uint64_t EventQueue::Claim(SimTime when,
+                                                         EventFn& fn,
+                                                         uint64_t flags) {
   uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -76,11 +80,38 @@ EventId EventQueue::Push(SimTime when, EventFn fn) {
   FELA_CHECK_GE(when, 0.0);  // bit-ordered times require non-negative
   const uint64_t key = (next_seq_++ << kSlotBits) | slot;
   Slot& s = SlotAt(slot);
-  s.key = key;
+  s.key = key | flags;
   s.fn = std::move(fn);
+  ++size_;
+  return key;
+}
+
+EventId EventQueue::Push(SimTime when, EventFn fn) {
+  const uint64_t key = Claim(when, fn, 0);
   heap_.push_back(Entry{TimeBits(when), key});
   SiftUp(heap_.size() - 1);
-  ++size_;
+  return key;
+}
+
+EventId EventQueue::PushAfter(EventId prev, SimTime when, EventFn fn) {
+  // The liveness test Cancel makes, on the key without its chain flags.
+  const uint64_t prev_slot = prev & kSlotMask;
+  Slot* p = nullptr;
+  if (prev != kInvalidEventId && prev_slot < slot_count_) {
+    Slot& s = SlotAt(static_cast<uint32_t>(prev_slot));
+    if (KeyMatches(s.key, prev)) p = &s;
+  }
+  // Slots never move, so `p` survives the slab growth Claim may do.
+  const uint64_t key = Claim(when, fn, p == nullptr ? 0 : kChained);
+  if (p == nullptr) {
+    heap_.push_back(Entry{TimeBits(when), key});
+    SiftUp(heap_.size() - 1);
+  } else {
+    FELA_CHECK((p->key & kHasNext) == 0) << "event already has a successor";
+    p->key |= kHasNext;
+    if (next_.size() < slot_capacity_) next_.resize(slot_capacity_);
+    next_[prev_slot] = Entry{TimeBits(when), key};
+  }
   return key;
 }
 
@@ -93,7 +124,14 @@ bool EventQueue::Cancel(EventId id) {
   // slot 0, whose key is also 0.
   if (id == kInvalidEventId || slot >= slot_count_) return false;
   Slot& s = SlotAt(static_cast<uint32_t>(slot));
-  if (s.key != id) return false;
+  if (s.key != id) {
+    // A pending event whose stored key carries chain flags is chained
+    // or holds a successor: it has no heap entry to go stale, or its
+    // successor would never reach the heap.
+    FELA_CHECK(!KeyMatches(s.key, id))
+        << "a chained event or one holding a successor cannot be cancelled";
+    return false;
+  }
   RetireSlot(s, static_cast<uint32_t>(slot));
   --size_;
   ++dead_in_heap_;
@@ -148,6 +186,16 @@ std::pair<SimTime, EventFn> EventQueue::Pop() {
   // line fill with heap work instead of stalling on it afterwards.
   __builtin_prefetch(&s, /*rw=*/1);
   PopRoot();
+  if ((s.key & kHasNext) != 0) {
+    // The successor enters the heap now. Its key is above top's, so
+    // every chained event stays behind an earlier one in the heap and
+    // the heap minimum is the global one.
+    const Entry next = next_[slot];
+    FELA_CHECK_GE(next.when_bits, top.when_bits)
+        << "PushAfter time before its predecessor's";
+    heap_.push_back(next);
+    SiftUp(heap_.size() - 1);
+  }
   std::pair<SimTime, EventFn> out{BitsTime(top.when_bits), std::move(s.fn)};
   RetireSlot(s, slot);
   --size_;

@@ -44,6 +44,14 @@ namespace fela::sim {
 /// whenever dead entries outnumber live ones, so the footprint stays
 /// proportional to the number of live events even under pathological
 /// push/cancel churn (constantly re-armed retry timers).
+///
+/// A FIFO device (a GPU running kernels back to back, a NIC's outbound
+/// link) schedules completions whose times never decrease. `PushAfter`
+/// keeps such a device's queued completions out of the heap: each waits
+/// in a chain behind the device's previous completion and enters the
+/// heap only when that one pops. A chained event's (time, seq) key is
+/// above its predecessor's, so the earliest pending event is always in
+/// the heap and pop order is exactly what `Push` alone would give.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -53,6 +61,14 @@ class EventQueue {
 
   /// Enqueues `fn` to fire at absolute time `when`. Returns a handle.
   EventId Push(SimTime when, EventFn fn);
+
+  /// Enqueues `fn` to fire at `when`, which must be no earlier than the
+  /// time of `prev`. While `prev` is pending (the liveness test Cancel
+  /// uses) the new event waits behind it outside the heap, and from then
+  /// on neither can be cancelled (Cancel fails a FELA_CHECK); otherwise
+  /// this is Push. An event holds at most one successor, and Pop fails a
+  /// FELA_CHECK on a successor whose time is before its predecessor's.
+  EventId PushAfter(EventId prev, SimTime when, EventFn fn);
 
   /// Cancels a pending event in O(1); returns false if it already
   /// fired, was already cancelled, or the handle is unknown. The
@@ -70,7 +86,7 @@ class EventQueue {
 
   // -- Introspection (tests and benches) ---------------------------------
   /// Heap entries including not-yet-swept cancelled ones. Bounded by
-  /// ~2x size() via compaction.
+  /// ~2x size() via compaction; chained events wait outside the heap.
   size_t heap_entries() const { return heap_.size(); }
   /// Allocated slab slots (live + free-listed). Bounded by the high
   /// -water mark of concurrently pending events.
@@ -80,18 +96,28 @@ class EventQueue {
   /// Key layout: (seq << kSlotBits) | slot. Comparing keys compares
   /// seq first — the deterministic tie-break — because seq occupies the
   /// high bits and is globally unique. seq starts at 1, so no valid key
-  /// collides with kInvalidEventId; 40 bits of seq and 24 bits of slot
-  /// allow ~10^12 events per queue and ~16M concurrently pending.
+  /// collides with kInvalidEventId; 38 bits of seq and 24 bits of slot
+  /// allow ~2.7 * 10^11 events per queue and ~16M concurrently pending.
+  /// The top two bits are never part of a key: a slot's stored key
+  /// carries its chain flags there.
   static constexpr uint32_t kSlotBits = 24;
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
-  static constexpr uint64_t kMaxSeq = uint64_t{1} << (64 - kSlotBits);
+  static constexpr uint64_t kMaxSeq = uint64_t{1} << (62 - kSlotBits);
+  /// The occupant was chained by PushAfter.
+  static constexpr uint64_t kChained = uint64_t{1} << 63;
+  /// The occupant holds a chained successor, whose heap entry is
+  /// next_[slot].
+  static constexpr uint64_t kHasNext = uint64_t{1} << 62;
+  static constexpr uint64_t kChainFlags = kChained | kHasNext;
+  static_assert(kChainFlags == ~(~uint64_t{0} >> 2), "flags are the top bits");
   /// First slab segment holds 2^kSeg0Bits slots; segment m holds
   /// 2^(kSeg0Bits + m).
   static constexpr uint32_t kSeg0Bits = 6;
 
   struct alignas(64) Slot {
-    /// Key of the current occupant; 0 when vacant. Any older handle
-    /// (and heap entry) for this slot mismatches and is stale.
+    /// Key of the current occupant, plus its chain flags; 0 when
+    /// vacant. Any older handle (and heap entry) for this slot
+    /// mismatches and is stale.
     uint64_t key = 0;
     EventFn fn;
   };
@@ -139,12 +165,23 @@ class EventQueue {
     return const_cast<EventQueue*>(this)->SlotAt(slot);
   }
 
+  /// True when `stored`, a slot's key with its chain flags, is `key`.
+  static bool KeyMatches(uint64_t stored, uint64_t key) {
+    return ((stored ^ key) << 2) == 0;  // shifts the flag bits out
+  }
+
   bool EntryLive(const Entry& e) const {
-    return SlotAt(static_cast<uint32_t>(e.key & kSlotMask)).key == e.key;
+    return KeyMatches(SlotAt(static_cast<uint32_t>(e.key & kSlotMask)).key,
+                      e.key);
   }
 
   /// Appends a fresh segment; existing slots never move.
   void AddSegment();
+
+  /// Moves `fn` into a free slot under a fresh key, tagged with `flags`,
+  /// and counts it live. Returns the key; the caller files it in the
+  /// heap or a chain.
+  uint64_t Claim(SimTime when, EventFn& fn, uint64_t flags);
 
   // Quaternary-heap primitives over heap_.
   void SiftUp(size_t i);
@@ -163,6 +200,10 @@ class EventQueue {
 
   std::vector<Entry> heap_;  // 4-ary min-heap, earliest at front
   std::vector<std::unique_ptr<Slot[]>> segs_;
+  /// By slot: the heap entry of the occupant's chained successor, read
+  /// only when the occupant's kHasNext flag is set. Sized by the first
+  /// PushAfter that chains, so a queue that never chains never pays.
+  std::vector<Entry> next_;
   std::vector<uint32_t> free_;
   uint32_t slot_count_ = 0;     // constructed slots across all segments
   uint32_t slot_capacity_ = 0;  // total slots the segments can hold

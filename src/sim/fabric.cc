@@ -12,6 +12,7 @@ Fabric::Fabric(Simulator* sim, int num_nodes, const Calibration& cal)
       num_nodes_(num_nodes),
       cal_(cal),
       out_free_(num_nodes, 0.0),
+      last_out_(num_nodes, kInvalidEventId),
       in_free_(num_nodes, 0.0),
       bytes_sent_(num_nodes, 0.0),
       bytes_received_(num_nodes, 0.0),
@@ -86,7 +87,7 @@ void Fabric::Transfer(NodeId src, NodeId dst, double bytes, EventFn done) {
   if (spans_ != nullptr && spans_->enabled()) {
     spans_->Emit(obs::Span{dst, obs::Phase::kTransfer, start, finish, -1, {}});
   }
-  sim_->ScheduleAt(finish, std::move(done));
+  last_out_[src] = sim_->ScheduleAfter(last_out_[src], finish, std::move(done));
 }
 
 void Fabric::SetFaults(const FaultSchedule* faults, TraceRecorder* trace) {

@@ -94,6 +94,9 @@ class Fabric {
   obs::SpanSink* spans_ = nullptr;
   uint64_t control_seq_ = 0;
   std::vector<SimTime> out_free_;
+  /// Completion of each sender's last bulk transfer; the sender's next
+  /// one is chained behind it (its finish is never earlier).
+  std::vector<EventId> last_out_;
   std::vector<SimTime> in_free_;
   /// Per-rack uplink/downlink FIFO channels; sized NumRacks, empty on the
   /// flat star (where no rack channel exists to contend on).

@@ -16,6 +16,11 @@ EventId Simulator::ScheduleAt(SimTime when, EventFn fn) {
   return queue_.Push(when, std::move(fn));
 }
 
+EventId Simulator::ScheduleAfter(EventId prev, SimTime when, EventFn fn) {
+  FELA_CHECK_GE(when, now_);
+  return queue_.PushAfter(prev, when, std::move(fn));
+}
+
 bool Simulator::Step() {
   if (queue_.empty()) return false;
   auto [when, fn] = queue_.Pop();

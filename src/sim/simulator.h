@@ -28,6 +28,13 @@ class Simulator {
   /// Schedules `fn` at absolute time `when` (>= now()).
   EventId ScheduleAt(SimTime when, EventFn fn);
 
+  /// ScheduleAt for a FIFO device's next completion: `when` must be no
+  /// earlier than the time of `prev`, the device's previous completion.
+  /// While `prev` is pending the new event waits behind it outside the
+  /// event heap (EventQueue::PushAfter), and neither can be cancelled
+  /// any more. Events fire in the same order either way.
+  EventId ScheduleAfter(EventId prev, SimTime when, EventFn fn);
+
   /// Cancels a pending event.
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 
@@ -51,6 +58,9 @@ class Simulator {
   uint64_t causality_violations() const { return causality_violations_; }
 
   bool idle() const { return queue_.empty(); }
+
+  /// Entries in the event heap; chained events wait outside it (tests).
+  size_t heap_entries() const { return queue_.heap_entries(); }
 
  private:
   EventQueue queue_;

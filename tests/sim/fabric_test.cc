@@ -64,6 +64,19 @@ TEST_F(FabricTest, SameSourceSerializesOnOutboundLink) {
   EXPECT_NEAR(second, 2.002, 1e-9);  // queued behind the first
 }
 
+// A sender's queued transfers wait behind one another, not in the event
+// heap, and complete in the order they were sent.
+TEST_F(FabricTest, QueuedTransfersOfOneSenderHoldOneHeapEntry) {
+  std::vector<int> order;
+  for (int i = 0; i < 300; ++i) {
+    fabric_.Transfer(0, 1 + i % 3, 1e6, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim_.heap_entries(), 1u);
+  sim_.Run();
+  ASSERT_EQ(order.size(), 300u);
+  for (int i = 0; i < 300; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
 TEST_F(FabricTest, SameDestinationSerializesOnInboundLink) {
   SimTime first = 0.0, second = 0.0;
   fabric_.Transfer(0, 3, 1e9, [&] { first = sim_.now(); });
