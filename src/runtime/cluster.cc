@@ -37,7 +37,7 @@ std::unique_ptr<Cluster> Cluster::MakeDefault(int num_workers) {
 
 double Cluster::TotalGpuBusy() const {
   double s = 0.0;
-  for (const auto& g : gpus_) s += g.busy_time();
+  for (const auto& g : gpus_) s += g.BusyTimeSoFar();
   return s;
 }
 

@@ -54,7 +54,8 @@ class Cluster {
   void SetObservability(bool enabled);
   bool observability() const { return spans_.enabled(); }
 
-  /// Total GPU busy seconds across workers (utilization numerator).
+  /// GPU busy seconds across workers so far: compute still queued to
+  /// run after now does not count (utilization numerator).
   double TotalGpuBusy() const;
 
  private:

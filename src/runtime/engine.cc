@@ -41,12 +41,16 @@ RunStats Engine::Run(int iterations) {
     }
   }
   // A completed run ends with its last iteration; events after it (a
-  // late report of a reclaimed token) are not run time. A stalled run
-  // lasts until the queue drained.
-  stats_.total_time = run_complete_ ? stats_.iterations.back().end
-                                    : cluster_->simulator().now();
+  // late report of a reclaimed token) are not run time, nor is compute
+  // that runs after it, so FinishIteration took the busy total at that
+  // end. A stalled run lasts until the queue drained.
+  if (run_complete_) {
+    stats_.total_time = stats_.iterations.back().end;
+  } else {
+    stats_.total_time = cluster_->simulator().now();
+    stats_.total_gpu_busy = cluster_->TotalGpuBusy();
+  }
   stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
   stats_.control_messages = cluster_->fabric().control_message_count();
   OnRunEnd();
   return stats_;
@@ -67,6 +71,7 @@ void Engine::FinishIteration() {
     StartIteration(current_iteration_ + 1);
   } else {
     run_complete_ = true;
+    stats_.total_gpu_busy = cluster_->TotalGpuBusy();
   }
 }
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/json.h"
+#include "runtime/cluster.h"
+#include "runtime/experiment.h"
 #include "runtime/sweep.h"
 #include "testing/spec_gen.h"
 
@@ -174,25 +176,51 @@ TEST(ShardFuzzTest, ReclaimMigratedToAnotherShardIsCredited) {
   }
 }
 
+/// Reads a checked-in repro from tests/testing/repros.
+FuzzSpec LoadRepro(const std::string& name) {
+  std::ifstream in(std::string(FELA_REPRO_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::stringstream text;
+  text << in.rdbuf();
+  common::Json json;
+  std::string error;
+  EXPECT_TRUE(common::Json::Parse(text.str(), &json, &error)) << error;
+  FuzzSpec spec;
+  EXPECT_TRUE(SpecFromJson(json, &spec, &error)) << error;
+  return spec;
+}
+
 // Regression: in fuzz seed 778 (the checked-in retry_after_run_end
 // repro) a partition-cut worker finishes a reclaimed token at 2.056 s,
 // after the 5th and last iteration ended. That late report is not run
 // time: a completed run lasts until its last iteration's end.
 TEST(FuzzerTest, CompletedRunEndsWithItsLastIteration) {
-  std::ifstream in(std::string(FELA_REPRO_DIR) + "/retry_after_run_end.json");
-  ASSERT_TRUE(in.good());
-  std::stringstream text;
-  text << in.rdbuf();
-  common::Json json;
-  std::string error;
-  ASSERT_TRUE(common::Json::Parse(text.str(), &json, &error)) << error;
-  FuzzSpec spec;
-  ASSERT_TRUE(SpecFromJson(json, &spec, &error)) << error;
-  const runtime::RunStats stats = RunFuzzCase(spec).result.stats;
+  const runtime::RunStats stats =
+      RunFuzzCase(LoadRepro("retry_after_run_end.json")).result.stats;
   ASSERT_FALSE(stats.stalled);
   ASSERT_EQ(stats.iteration_count(), 5);
   EXPECT_EQ(stats.total_time, stats.iterations.back().end);
   EXPECT_NEAR(stats.total_time, 1.54716, 1e-5);
+}
+
+// The same late worker computes its reclaimed token from 2.048 to
+// 2.056 s. That compute is not the run's either: the GPU busy total is
+// the one at the last iteration's end, 8.2 ms short of the drained one.
+TEST(FuzzerTest, CompletedRunCountsNoComputeAfterItsLastIteration) {
+  const FuzzSpec spec = LoadRepro("retry_after_run_end.json");
+  runtime::ExperimentSpec espec = ToExperimentSpec(spec);
+  double drained_busy = 0.0;
+  espec.post_run_probe = [&drained_busy](const runtime::Engine&,
+                                         runtime::Cluster& cluster) {
+    drained_busy = cluster.TotalGpuBusy();
+  };
+  const runtime::RunStats stats =
+      runtime::RunExperiment(espec, MakeEngineFactory(spec),
+                             MakeStragglerFactory(spec),
+                             MakeFaultFactory(spec))
+          .stats;
+  ASSERT_FALSE(stats.stalled);
+  EXPECT_NEAR(drained_busy - stats.total_gpu_busy, 2.056257 - 2.048025, 1e-6);
 }
 
 TEST_F(MutationCanaryTest, CanaryOnlyAffectsFelaRuns) {
