@@ -224,10 +224,11 @@ std::vector<UnorderedLoop> FindUnorderedLoops(
   if (members.empty()) return loops;
   static const char* kEmitters[] = {
       "Emit(",         "Record(",       "FELA_TRACE",    "Schedule(",
-      "ScheduleAt(",   "Push(",         "push_back(",    "emplace_back(",
-      "Append(",       "AddRow(",       "printf",        "<<",
-      "SendControl(",  "Transfer(",     "deliver_grant", "send_report",
-      "send_request",  "Increment(",    "Observe(",
+      "ScheduleAt(",   "ScheduleAfter(", "Push(",        "PushAfter(",
+      "push_back(",    "emplace_back(", "Append(",       "AddRow(",
+      "printf",        "<<",            "SendControl(",  "Transfer(",
+      "deliver_grant", "send_report",   "send_request",  "Increment(",
+      "Observe(",
   };
   const auto& code = text.code;
   for (size_t i = 0; i < code.size(); ++i) {

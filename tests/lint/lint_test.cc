@@ -114,6 +114,30 @@ TEST(LintRulesTest, EveryRuleFiresExactlyOnceOnItsFixture) {
       FindingsIn(findings, "core/sweep_shared_state_violation.cc").size(), 2u);
 }
 
+// The FIFO-chain scheduling calls order events like Schedule and Push,
+// and neither name contains either of those, so each is an emitter of
+// its own: a loop over an unordered container that calls one fires.
+TEST(LintRulesTest, UnorderedLoopCallingAChainedScheduleFires) {
+  for (const char* call : {"sim_->ScheduleAfter(last_, when, fn);",
+                           "queue_.PushAfter(last_, when, fn);"}) {
+    const std::string source =
+        std::string("#include <unordered_set>\n"
+                    "void Arm() {\n"
+                    "  std::unordered_set<int> pending;\n"
+                    "  for (int id : pending) {\n"
+                    "    ") +
+        call +
+        "\n"
+        "  }\n"
+        "}\n";
+    const std::vector<Finding> findings =
+        LintFile("src/sim/fifo_chain.cc", source, Options{});
+    ASSERT_EQ(findings.size(), 1u) << call;
+    EXPECT_EQ(findings[0].rule, "unordered-iter") << call;
+    EXPECT_EQ(findings[0].line, 4) << call;
+  }
+}
+
 TEST(LintRulesTest, SuppressedFixtureIsClean) {
   std::vector<Finding> findings;
   std::string error;
