@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,6 +59,36 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1024)->Arg(16384);
+
+// The GPipe shape the FIFO chains serve: eight devices complete work in
+// order, and one of them (pipeline stage 0, which is handed every
+// micro-batch at once) holds 512 queued completions. Each popped
+// completion queues its device's next one behind the device's last, as
+// GpuDevice::Enqueue does, so the heap holds one entry per device while
+// 519 events are pending.
+void BM_EventQueueFifoChain(benchmark::State& state) {
+  constexpr int kDevices = 8;
+  constexpr int kQueued = 512;
+  sim::EventQueue q;
+  std::array<sim::EventId, kDevices> last{};
+  std::array<double, kDevices> last_time{};
+  int fired = 0;
+  const auto enqueue = [&](int d) {
+    last_time[d] += 1.0 + 0.37 * d;  // per-device kernel time
+    last[d] = q.PushAfter(last[d], last_time[d], [&fired, d] { fired = d; });
+  };
+  for (int i = 0; i < kQueued; ++i) enqueue(0);
+  for (int d = 1; d < kDevices; ++d) enqueue(d);
+  for (auto _ : state) {
+    auto [when, fn] = q.Pop();
+    fn();
+    benchmark::DoNotOptimize(when);
+    enqueue(fired);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["heap_entries"] = static_cast<double>(q.heap_entries());
+}
+BENCHMARK(BM_EventQueueFifoChain);
 
 void BM_SimulatorEventChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
